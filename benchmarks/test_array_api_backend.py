@@ -1,21 +1,20 @@
-"""Array-API backend benchmarks (vs the vectorized reference).
+"""Array-namespace timings of the batched Runner.
 
 Opt-in like every benchmark (``python -m pytest benchmarks/``):
 
-* ``test_array_api_1024_topologies`` -- the acceptance-bar measurement: a
-  1024-topology fig09 capacity sweep (naive + power-balanced precoding on
-  paired CAS/DAS deployments, 2x2 and 4x4) through
-  ``Runner(backend="array_api")`` on the default NumPy namespace,
-  bit-identical to the vectorized backend with dispatch overhead bounded
-  (the namespace indirection must stay in the noise: <= 15% slower than
-  calling numpy directly).  Also times the float32 configuration for the
-  record.  This is the measurement committed as ``BENCH_array_api.json``.
+* ``test_array_api_1024_topologies`` -- a 1024-topology fig09 capacity
+  sweep (naive + power-balanced precoding on paired CAS/DAS deployments,
+  2x2 and 4x4) on the default NumPy/float64 namespace and on the float32
+  configuration, recorded for the trajectory.  Bit-identity of the
+  NumPy/float64 path against the per-topology reference is the tier-1
+  equivalence suites' job; there is no second batched path left to
+  compare against.
 * ``test_array_api_torch_1024_topologies`` -- the same sweep on torch CPU
   float64 (skipped unless torch is installed); recorded, not gated --
   torch's CPU kernels are not expected to beat NumPy at 4x4 scale, the
   win it unlocks is CUDA at large batch.
 * ``test_array_api_smoke`` (``-m benchsmoke``) -- seconds-scale CI
-  version: asserts bit-identity and always writes the timing JSON.
+  version: always writes the timing JSON.
 
 Timings go to ``$ARRAY_API_BENCH_JSON`` (default
 ``array_api_timings.json``) so CI can upload them as artifacts.
@@ -30,7 +29,6 @@ import platform
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import RunSpec, Runner
@@ -58,46 +56,29 @@ def _write(timings: dict, suffix: str = "") -> None:
 
 def _run_benchmark(n_topologies: int, repeats: int, suffix: str = "") -> dict:
     spec = RunSpec("fig09", n_topologies=n_topologies, seed=0)
-    vec_s, vec_series = _best_of(Runner(backend="vectorized"), spec, repeats)
-    xp_s, xp_series = _best_of(Runner(backend="array_api"), spec, repeats)
-    for key in vec_series:
-        assert np.array_equal(vec_series[key], xp_series[key]), (
-            f"array_api-on-NumPy diverged from vectorized on series {key!r}"
-        )
-    f32_s, _ = _best_of(
-        Runner(backend="array_api", dtype="float32"), spec, repeats
-    )
+    f64_s, _ = _best_of(Runner(), spec, repeats)
+    f32_s, _ = _best_of(Runner(dtype="float32"), spec, repeats)
     timings = {
         "experiment": "fig09",
         "n_topologies": n_topologies,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "vectorized_seconds": vec_s,
-        "array_api_numpy_f64_seconds": xp_s,
+        "vectorized_seconds": f64_s,
         "array_api_numpy_f32_seconds": f32_s,
-        "dispatch_overhead": xp_s / vec_s - 1.0,
-        "bit_identical": True,
     }
     _write(timings, suffix)
     return timings
 
 
 def test_array_api_1024_topologies():
-    timings = _run_benchmark(n_topologies=1024, repeats=2)
-    assert timings["bit_identical"]
-    assert timings["dispatch_overhead"] <= 0.15, (
-        f"namespace dispatch costs {timings['dispatch_overhead']:.1%} "
-        "over direct numpy"
-    )
+    _run_benchmark(n_topologies=1024, repeats=2)
 
 
 @pytest.mark.skipif(TORCH_MISSING, reason="torch not installed")
 def test_array_api_torch_1024_topologies():
     spec = RunSpec("fig09", n_topologies=1024, seed=0)
-    vec_s, _ = _best_of(Runner(backend="vectorized"), spec, 1)
-    torch_s, _ = _best_of(
-        Runner(backend="array_api", namespace="torch"), spec, 1
-    )
+    vec_s, _ = _best_of(Runner(), spec, 1)
+    torch_s, _ = _best_of(Runner(namespace="torch"), spec, 1)
     _write(
         {
             "experiment": "fig09",
@@ -111,8 +92,6 @@ def test_array_api_torch_1024_topologies():
 
 @pytest.mark.benchsmoke
 def test_array_api_smoke():
-    # Bit-identity is the smoke test's real job; millisecond timings on
-    # shared CI runners are too noisy to gate on, so the overhead bound is
-    # only enforced by the opt-in 1024-topology benchmark.
-    timings = _run_benchmark(n_topologies=12, repeats=2)
-    assert timings["bit_identical"]
+    # Millisecond timings on shared CI runners are too noisy to gate on;
+    # the smoke run only proves both namespaces run and records them.
+    _run_benchmark(n_topologies=12, repeats=2)

@@ -6,7 +6,7 @@ Opt-in like every benchmark (``python -m pytest benchmarks/``); the
 * ``test_campaign_shard_overhead_smoke`` -- the sharding claim: driving a
   fig15-style CDF sweep of 10240 topologies through the campaign layer
   (10 shards, journal, streaming accumulators, npz shard cache) costs
-  < 10% wall-clock over the monolithic vectorized run it decomposes, and
+  < 10% wall-clock over the monolithic batched run it decomposes, and
   reports the bit-identical exact mean.
 * ``test_campaign_sigkill_resume_at_scale`` -- the durability claim: a
   10240-topology campaign killed with SIGKILL mid-flight resumes from its
@@ -52,7 +52,7 @@ def _write_timings(timings: dict, suffix: str = "") -> Path:
 def test_campaign_shard_overhead_smoke(tmp_path):
     spec = RunSpec(_EXPERIMENT, n_topologies=_TOPOLOGIES, seed=0)
     start = time.perf_counter()
-    mono = Runner(backend="vectorized").run(spec)
+    mono = Runner().run(spec)
     mono_s = time.perf_counter() - start
 
     campaign = CampaignSpec(

@@ -12,7 +12,6 @@ def test_fig16_eight_ap(benchmark):
         result,
         "Fig 16: DAS > CAS by more than 150% in the paper's 60x60 m region; "
         f"measured {gain:+.0%}.  Our CAS baseline retains honest 802.11 "
-        "cell reuse at this density, which narrows the gap (see "
-        "EXPERIMENTS.md for the density sensitivity).",
+        "cell reuse at this density, which narrows the gap.",
     )
     assert gain > 0.05

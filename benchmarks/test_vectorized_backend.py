@@ -1,28 +1,33 @@
-"""Vectorized-vs-loop backend benchmarks.
+"""Batched Runner vs the per-topology reference.
+
+The "loop" side of every timing is ``run_reference`` (the experiments'
+scalar ``build`` walked seed by seed, ``tests/helpers/reference.py``); the
+"vectorized" side is ``Runner()``, whose one execution path stacks whole
+seed batches through ``build_batch``.
 
 Opt-in like every benchmark (``python -m pytest benchmarks/``):
 
 * ``test_vectorized_speedup_100_topologies`` -- the capacity-sweep claim:
-  the vectorized backend runs a 100-topology fig10 sweep (naive and
+  the batched Runner runs a 100-topology fig10 sweep (naive and
   power-balanced precoding on paired CAS/DAS deployments) at >= 3x the
-  loop backend, bit-identically.
+  per-topology reference, bit-identically.
 * ``test_vectorized_fig15_speedup_100_topologies`` -- the round-engine
   claim: the batched quasi-static network evaluator runs a 100-topology
   fig15 sweep (3-AP CAS vs MIDAS, 24 rounds each, overhearing-gated
-  rejection sampling) at >= 3x the loop backend, bit-identically.
+  rejection sampling) at >= 3x the reference, bit-identically.
 * ``test_vectorized_latency_smoke`` (``-m benchsmoke``) -- the finite-load
   claim: a 100-topology ``latency_vs_load`` sweep (Poisson arrivals, two
   offered loads, per-round A-MPDU service and delay accounting on both
-  backends) runs >= 3x faster vectorized, bit-identically.  The queueing
+  paths) runs >= 3x faster batched, bit-identically.  The queueing
   layer itself is deliberately shared scalar code, so this guards against
   it ever growing into the bottleneck that erases the batching win.
 * ``test_vectorized_mobility_smoke`` (``-m benchsmoke``) -- the
   moving-channel claim: a 100-topology ``mobility_capacity`` sweep
   (pedestrian Gauss-Markov trajectories, per-client Doppler, stale-CSI
   precoding with periodic re-sounding and tag re-derivation on both
-  backends) runs >= 3x faster vectorized, bit-identically.  Mobility adds
+  paths) runs >= 3x faster batched, bit-identically.  Mobility adds
   per-item python work (trajectory steps, per-item shadowing resampling)
-  to both backends; this guards the batching win against that overhead.
+  to both paths; this guards the batching win against that overhead.
 * ``test_vectorized_smoke`` / ``test_vectorized_fig15_smoke``
   (``-m benchsmoke``) -- seconds-scale versions for CI: assert
   bit-identity and always write the timing JSON artifact.
@@ -42,16 +47,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import RunSpec, Runner
 
 
-def _best_of(runner: Runner, spec: RunSpec, repeats: int) -> tuple[float, dict]:
-    """Fastest wall-clock of ``repeats`` runs plus the last result's series."""
+def _best_of(run, spec: RunSpec, repeats: int) -> tuple[float, dict]:
+    """Fastest wall-clock of ``repeats`` ``run(spec)`` calls plus the last
+    result's series."""
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = runner.run(spec)
+        result = run(spec)
         best = min(best, time.perf_counter() - start)
     return best, result.series
 
@@ -64,11 +71,11 @@ def _run_benchmark(
     params: dict | None = None,
 ) -> dict:
     spec = RunSpec(experiment, n_topologies=n_topologies, seed=0, params=params or {})
-    loop_s, loop_series = _best_of(Runner(backend="loop"), spec, repeats)
-    vec_s, vec_series = _best_of(Runner(backend="vectorized"), spec, repeats)
+    loop_s, loop_series = _best_of(run_reference, spec, repeats)
+    vec_s, vec_series = _best_of(Runner().run, spec, repeats)
     for key in loop_series:
         assert np.array_equal(loop_series[key], vec_series[key]), (
-            f"backends diverged on series {key!r}"
+            f"batched Runner diverged from the reference on series {key!r}"
         )
     timings = {
         "experiment": experiment,
@@ -83,8 +90,8 @@ def _run_benchmark(
         out = out.with_name(out.stem + suffix + out.suffix)
     out.write_text(json.dumps(timings, indent=2) + "\n")
     print(
-        f"\n{experiment} x{n_topologies}: loop {loop_s:.3f}s, "
-        f"vectorized {vec_s:.3f}s, speedup {timings['speedup']:.2f}x -> {out}"
+        f"\n{experiment} x{n_topologies}: reference {loop_s:.3f}s, "
+        f"batched {vec_s:.3f}s, speedup {timings['speedup']:.2f}x -> {out}"
     )
     return timings
 
@@ -92,17 +99,17 @@ def _run_benchmark(
 def test_vectorized_speedup_100_topologies():
     timings = _run_benchmark("fig10", n_topologies=100, repeats=3)
     assert timings["speedup"] >= 3.0, (
-        f"vectorized backend only {timings['speedup']:.2f}x faster"
+        f"batched Runner only {timings['speedup']:.2f}x faster"
     )
 
 
 def test_vectorized_fig15_speedup_100_topologies():
     # The round-based network engine: 100 three-AP topologies at the
     # registered default of 24 rounds each, including the CAS overhearing
-    # gate's rejection sampling (which the vectorized scheduler overdraws).
+    # gate's rejection sampling (which the batched scheduler overdraws).
     timings = _run_benchmark("fig15", n_topologies=100, repeats=1, suffix="-fig15")
     assert timings["speedup"] >= 3.0, (
-        f"vectorized round engine only {timings['speedup']:.2f}x faster"
+        f"batched round engine only {timings['speedup']:.2f}x faster"
     )
 
 
@@ -125,7 +132,7 @@ def test_vectorized_latency_smoke():
     )
     assert timings["bit_identical"]
     assert timings["speedup"] >= 3.0, (
-        f"vectorized finite-load sweep only {timings['speedup']:.2f}x faster"
+        f"batched finite-load sweep only {timings['speedup']:.2f}x faster"
     )
 
 
@@ -149,7 +156,7 @@ def test_vectorized_mobility_smoke():
     )
     assert timings["bit_identical"]
     assert timings["speedup"] >= 3.0, (
-        f"vectorized mobility sweep only {timings['speedup']:.2f}x faster"
+        f"batched mobility sweep only {timings['speedup']:.2f}x faster"
     )
 
 

@@ -27,7 +27,7 @@ def main(n_topologies: int = 8) -> None:
     loads = [10.0, 20.0, 40.0, 80.0, 160.0]
     print(f"Office B single cell, {n_topologies} topologies, Poisson downlink\n")
 
-    result = Runner(backend="vectorized").run(
+    result = Runner().run(
         RunSpec(
             "latency_vs_load",
             n_topologies=n_topologies,

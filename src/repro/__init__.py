@@ -21,11 +21,12 @@ name in pluggable registries:
 >>> result.spec.experiment
 'fig03'
 
-Scale up with the vectorized backend (whole topology batches as stacked
-array math, bit-identical to the loop path) or worker processes, and cache
-results on disk keyed by a hash of the fully resolved parameters::
+Every run evaluates whole topology batches as stacked array math,
+bit-identical to evaluating them one at a time.  Scale up with worker
+processes and cache results on disk keyed by a hash of the fully resolved
+parameters::
 
-    runner = Runner(backend="vectorized", cache_dir="results/cache")
+    runner = Runner(jobs=4, cache_dir="results/cache")
     result = runner.run(RunSpec("fig09", n_topologies=60, precoder="wmmse"))
     result.save("results/fig09.npz")          # or .json; round-trips losslessly
 
@@ -43,7 +44,7 @@ factories) remains importable directly for custom studies; see
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from .analysis import (
     EmpiricalCdf,

@@ -1,4 +1,4 @@
-"""Plain-text report formatting used by benchmarks and EXPERIMENTS.md.
+"""Plain-text report formatting used by the benchmarks and result summaries.
 
 The benches print the same rows/series the paper's figures show; these
 helpers keep that formatting consistent and terminal-friendly.

@@ -7,6 +7,12 @@ One declarative spec replaces one bespoke experiment module::
     result = Runner(jobs=4).run(RunSpec("fig09", n_topologies=60, seed=0))
     print(result.summary())
 
+Every run takes one execution path: the experiment's ``build_batch``
+over stacked seed batches, under the :mod:`repro.xp` namespace selected by
+``Runner(namespace=..., device=..., dtype=...)`` (NumPy/float64, the
+bit-exact default, unless told otherwise).  ``Runner(backend=...)`` is
+deprecated and ignored for one release.
+
 Pluggability comes from three decorator-driven registries --
 :func:`register_precoder`, :func:`register_scenario` (plus
 :func:`register_environment`), and :func:`register_experiment` -- so new

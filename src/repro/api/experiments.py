@@ -1,29 +1,29 @@
 """Experiment definitions: the pluggable unit the :class:`Runner` executes.
 
-An experiment is a pair of pure functions over plain parameter dicts:
+An experiment is a set of pure functions over plain parameter dicts:
+
+``build_batch(topo_seeds, params) -> list[dict | None]``
+    Evaluate a batch of topology seeds at once (stacked channel synthesis
+    + batched linear algebra), returning one outcome per seed in order,
+    ``None`` for a rejected draw (placement constraints; the runner draws
+    more seeds).  Each entry is a function of its own seed only, so any
+    partition of a seed range into batches gives the same outcomes.  This
+    is the only hook the runner calls.  It must be a module-level callable
+    so worker processes can resolve it.
 
 ``build(topo_seed, params) -> dict | None``
-    Evaluate one topology.  Returning ``None`` rejects the topology
-    (placement constraints) and the runner draws another seed.  ``build``
-    must be a module-level callable so worker processes can resolve it.
+    Evaluate one topology with the scalar models.  This is the
+    per-topology reference the equivalence suites hold ``build_batch`` to
+    (entry ``i`` of ``build_batch`` must equal ``build(topo_seeds[i],
+    params)`` exactly); the runner never calls it.
 
 ``finalize(outcomes, params) -> ExperimentResult``
     Reduce the accepted per-topology outcomes into named series.
 
-An experiment may additionally provide a *batched* build hook:
-
-``build_batch(topo_seeds, params) -> list[dict | None]``
-    Evaluate a whole batch of topology seeds at once (stacked channel
-    synthesis + batched linear algebra), returning one outcome per seed in
-    order, ``None`` for rejected draws.  The contract is bit-identity:
-    entry ``i`` must equal ``build(topo_seeds[i], params)`` exactly.  The
-    runner uses this hook when constructed with ``backend="vectorized"``
-    and falls back to per-topology ``build`` calls when it is absent.
-
 Modules register experiments with the :func:`register_experiment`
 decorator, either on an :class:`ExperimentDef` factory call or on a class
-carrying ``name``/``description``/``defaults``/``build``/``finalize``
-(and optionally ``build_batch``) attributes.
+carrying ``name``/``description``/``defaults``/``build``/``build_batch``/
+``finalize`` attributes.
 """
 
 from __future__ import annotations
@@ -43,16 +43,20 @@ _RESERVED_PARAMS = {"seed"}
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """A registered experiment: defaults plus build/finalize callables."""
+    """A registered experiment: defaults plus its build/finalize callables."""
 
     name: str
     description: str
     build: BuildFn
     finalize: FinalizeFn
+    build_batch: BatchBuildFn
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    build_batch: BatchBuildFn | None = None
 
     def __post_init__(self):
+        if not callable(self.build_batch):
+            raise TypeError(
+                f"experiment {self.name!r} must provide a callable build_batch"
+            )
         if "n_topologies" not in self.defaults:
             raise ValueError(
                 f"experiment {self.name!r} must declare an n_topologies default"
@@ -75,6 +79,7 @@ def register_experiment(obj):
             description = "..."
             defaults = {"n_topologies": 60}
             build = staticmethod(_build)
+            build_batch = staticmethod(_build_batch)
             finalize = staticmethod(_finalize)
 
     or called directly with an :class:`ExperimentDef`.
@@ -82,13 +87,15 @@ def register_experiment(obj):
     if isinstance(obj, ExperimentDef):
         defn = obj
     else:
+        # A missing hook becomes None, which ExperimentDef rejects.
+        build_batch: Any = getattr(obj, "build_batch", None)
         defn = ExperimentDef(
             name=obj.name,
             description=obj.description,
             build=obj.build,
             finalize=obj.finalize,
+            build_batch=build_batch,
             defaults=dict(obj.defaults),
-            build_batch=getattr(obj, "build_batch", None),
         )
     EXPERIMENTS.add(defn.name, defn)
     return obj

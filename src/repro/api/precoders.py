@@ -13,7 +13,7 @@ A second registry, ``BATCH_PRECODERS``, holds *batched* implementations
 with the same signature over stacked channels ``(batch, n_clients,
 n_antennas)``.  :func:`precoder_matrix_batch` prefers the batched
 implementation and falls back to mapping the scalar one over the stack --
-so every registered precoder works under ``backend="vectorized"``, and both
+so every registered precoder works on the Runner's batched path, and both
 paths are bit-identical per item (iterative solvers like WMMSE simply run
 item-at-a-time inside the batch call).
 """
@@ -104,7 +104,7 @@ def precoder_matrix_batch(
 
     This is a :mod:`repro.xp` compute boundary: the stack is transferred to
     the *active* namespace before the solve (the identity on the default
-    NumPy/float64 configuration), so ``Runner(backend="array_api")`` runs
+    NumPy/float64 configuration), so ``Runner(namespace="torch")`` runs
     the registered batched solvers on torch without any experiment changes.
     Scalar fallbacks (iterative solvers without a batched form) always run
     on the host in float64; their results are transferred afterwards.

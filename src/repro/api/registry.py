@@ -114,7 +114,7 @@ def register_batch_precoder(name: str):
 
     The callable takes a stacked channel ``(batch, n_clients, n_antennas)``
     and must return precoders bit-identical, slice for slice, to the scalar
-    registration under the same name (the vectorized backend's contract).
+    registration under the same name (the batched path's contract).
     """
     return BATCH_PRECODERS.register(name)
 

@@ -2,33 +2,29 @@
 
 The runner owns everything the declarative spec deliberately leaves out:
 
-* **backend** -- ``"loop"`` (default) evaluates one topology at a time;
-  ``"vectorized"`` hands whole seed batches to the experiment's
+* **execution** -- there is one path: seed batches go to the experiment's
   ``build_batch`` hook, which evaluates all draws as stacked arrays
-  (batched channel synthesis + broadcasting linalg precoders);
-  ``"array_api"`` is the vectorized path executed under an explicit
-  :mod:`repro.xp` namespace (``namespace``/``device``/``dtype``), which is
-  how the same code runs on torch/CUDA.  ``"loop"``, ``"vectorized"``, and
-  ``"array_api"`` on the default NumPy/float64 namespace walk the same
-  derived-seed stream and are **bit-identical**; other namespace
-  configurations meet documented tolerance contracts instead (see
-  ``docs/api.md``).  Experiments without a batch hook fall back to the
-  loop path with a warning naming the experiment;
-* **parallelism** -- per-topology evaluations fan out over a
-  ``ProcessPoolExecutor`` when ``jobs > 1``; topology seeds are drawn in
-  vectorized batches from the same derived-seed stream the serial path
-  walks, and outcomes are accepted in stream order, so ``jobs=1`` and
-  ``jobs=N`` produce bit-identical series for a fixed seed (``jobs`` only
-  applies to the loop path -- the vectorized backend is in-process, its
-  parallelism is the array math itself);
+  (batched channel synthesis + broadcasting linalg precoders) under the
+  :mod:`repro.xp` namespace selected by ``namespace``/``device``/``dtype``
+  (NumPy/CPU/float64 by default, which is how the same code also runs on
+  torch/CUDA).  On the default namespace every result is **bit-identical**
+  to evaluating the topologies one at a time with the experiment's scalar
+  ``build`` (the reference the equivalence suites hold ``build_batch``
+  to); other namespace configurations meet documented tolerance contracts
+  instead (see ``docs/api.md``);
+* **parallelism** -- with ``jobs > 1`` each round of seeds is cut into
+  contiguous chunks that a ``ProcessPoolExecutor`` maps ``build_batch``
+  over; outcomes are accepted in stream order and ``build_batch`` is a
+  per-item function of its seed, so ``jobs=1`` and ``jobs=N`` produce
+  bit-identical series for a fixed seed;
 * **rejection sampling** -- experiments may reject topologies (placement
   constraints); the runner keeps drawing seed batches until the requested
   count is met (with the classic generous attempt cap);
-* **caching** -- with a ``cache_dir``, results are persisted as JSON keyed
-  by a hash of the fully resolved parameters plus the package version, and
-  reloaded on a hit (the backend is deliberately *not* part of the key:
-  backends are bit-equal; the version *is*, because algorithm changes
-  between releases must invalidate stale entries).
+* **caching** -- with a ``cache_dir``, results are persisted keyed by a
+  hash of the fully resolved parameters plus the package version, and
+  reloaded on a hit (the version *is* part of the key, because algorithm
+  changes between releases must invalidate stale entries; inexact
+  namespace configurations add their own key material).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .. import __version__ as _PACKAGE_VERSION
@@ -122,22 +118,47 @@ def resolve_params(defn: ExperimentDef, spec: RunSpec) -> dict:
     return params
 
 
-def _build_one(experiment: str, topo_seed: int, params: dict):
-    """Worker entry point: evaluate one topology of one experiment.
+def _build_chunk(experiment: str, seeds: list, params: dict, xp_config: tuple):
+    """Worker entry point: ``build_batch`` over one contiguous seed chunk.
 
     Module-level (picklable) and self-bootstrapping so it works under both
     ``fork`` and ``spawn`` start methods.
     """
     load_builtin_experiments()
     defn = get_experiment_def(experiment)
-    return defn.build(topo_seed, params)
+    with xpmod.use(xpmod.get_namespace(*xp_config)):
+        return defn.build_batch(seeds, params)
 
 
-#: Seeds per round under the vectorized backend (when ``batch_size`` is
-#: unset).  Large enough that a typical sweep runs as one stacked batch.
-_VECTORIZED_BATCH_CAP = 1024
+#: Seeds per round when ``batch_size`` is unset.  Large enough that a
+#: typical sweep runs as one stacked batch.
+_DEFAULT_BATCH_CAP = 1024
 
-_BACKENDS = ("loop", "vectorized", "array_api")
+#: Names the retired ``backend=`` option accepts for one more release.
+#: Each one runs the single batched path.
+DEPRECATED_BACKENDS = ("loop", "vectorized", "array_api")
+
+
+def warn_deprecated_backend(backend: str, stacklevel: int) -> None:
+    """Validate a retired ``backend=`` value and warn that it is ignored.
+
+    ``stacklevel`` counts from the caller of this function, so the
+    :class:`DeprecationWarning` can be attributed to user code.  Unknown
+    names still raise :class:`ValueError`.
+    """
+    if backend not in DEPRECATED_BACKENDS:
+        raise ValueError(
+            f"backend must be one of {DEPRECATED_BACKENDS} (deprecated), "
+            f"got {backend!r}"
+        )
+    warnings.warn(
+        f"backend={backend!r} is deprecated and has no effect: every run "
+        "takes the one batched path; drop the argument (namespace/device/"
+        "dtype select the array namespace)",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
+
 
 _CACHE_FORMATS = ("json", "npz")
 
@@ -161,32 +182,29 @@ class Runner:
     Parameters
     ----------
     jobs:
-        Worker process count; ``1`` (default) runs in-process.  Only the
-        loop backend fans out over processes.
+        Worker process count; ``1`` (default) runs in-process.  With more,
+        each round of seeds is split into ``jobs`` contiguous chunks
+        evaluated by ``build_batch`` in worker processes.
     cache_dir:
         Directory for on-disk result caching keyed by spec hash, or
         ``None`` (default) to disable caching.
     batch_size:
-        Upper bound on topology seeds scheduled per round; defaults to
-        ``max(8, 4*jobs)`` for the loop backend and 1024 for the
-        vectorized one.  Affects scheduling only, never results.
+        Upper bound on topology seeds scheduled per round (default 1024).
+        Affects scheduling only, never results.
     backend:
-        ``"loop"`` (default), ``"vectorized"``, or ``"array_api"``.  The
-        vectorized backend evaluates stacked topology batches through the
-        experiment's ``build_batch`` hook when it defines one;
-        ``"array_api"`` runs that same code path under the namespace
-        selected by ``namespace``/``device``/``dtype``.  Results are
-        bit-identical across ``loop``/``vectorized``/``array_api``-on-
-        NumPy-float64; other configurations (torch, float32) meet the
-        documented tolerance contracts.
+        Deprecated and ignored; kept for one release so old call sites
+        keep working.  Any of ``"loop"``, ``"vectorized"`` or
+        ``"array_api"`` runs the one batched path and emits a
+        :class:`DeprecationWarning`; other names raise ``ValueError``.
     namespace / device / dtype:
-        The :mod:`repro.xp` configuration of the ``"array_api"`` backend
-        (ignored by the other backends, which always compute on the
-        default NumPy/float64 namespace).  ``namespace`` is ``"numpy"``
-        (always available) or ``"torch"`` (optional dependency; a missing
-        install raises :class:`repro.xp.BackendUnavailableError` naming
-        the extra).  ``device`` is ``"cpu"`` or a torch device string like
-        ``"cuda"``; ``dtype`` is ``"float64"`` or ``"float32"``.
+        The :mod:`repro.xp` configuration ``build_batch`` runs under.
+        ``namespace`` is ``"numpy"`` (default, always available) or
+        ``"torch"`` (optional dependency; a missing install raises
+        :class:`repro.xp.BackendUnavailableError` naming the extra at
+        construction).  ``device`` is ``"cpu"`` or a torch device string
+        like ``"cuda"``; ``dtype`` is ``"float64"`` or ``"float32"``.
+        NumPy/float64 is bit-exact; other configurations meet the
+        documented tolerance contracts and get their own cache entries.
     cache_format:
         On-disk cache encoding: ``"json"`` (default, human-readable) or
         ``"npz"`` (binary series; what campaign shards use).  Both
@@ -207,7 +225,7 @@ class Runner:
     jobs: int = 1
     cache_dir: str | Path | None = None
     batch_size: int | None = None
-    backend: str = "loop"
+    backend: str | None = field(default=None, repr=False, compare=False)
     namespace: str = "numpy"
     device: str = "cpu"
     dtype: str = "float64"
@@ -228,10 +246,9 @@ class Runner:
             raise ValueError("Runner.jobs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("Runner.batch_size must be >= 1")
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"Runner.backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
+        if self.backend is not None:
+            # __post_init__ <- generated __init__ <- the caller.
+            warn_deprecated_backend(self.backend, stacklevel=3)
         if self.cache_format not in _CACHE_FORMATS:
             raise ValueError(
                 f"Runner.cache_format must be one of {_CACHE_FORMATS}, "
@@ -244,21 +261,13 @@ class Runner:
                 "Runner.telemetry must be a repro.obs.Telemetry or None, "
                 f"got {type(self.telemetry).__name__}"
             )
-        xp_config = (self.namespace, self.device, self.dtype)
-        if self.backend != "array_api" and xp_config != ("numpy", "cpu", "float64"):
-            raise ValueError(
-                f"namespace/device/dtype select the array-API namespace and "
-                f"require backend='array_api'; backend={self.backend!r} always "
-                f"computes on the default NumPy/float64 namespace"
-            )
-        if self.backend == "array_api":
-            # Resolve eagerly so a missing optional dependency (torch) or a
-            # bad device/dtype fails at construction with a clean error, not
-            # mid-sweep.
-            self._resolve_namespace()
+        # Resolve eagerly so a missing optional dependency (torch) or a bad
+        # device/dtype fails at construction with a clean error, not
+        # mid-sweep.
+        self._resolve_namespace()
 
     def _resolve_namespace(self):
-        """The :class:`repro.xp.ArrayNamespace` the array_api backend uses.
+        """The :class:`repro.xp.ArrayNamespace` this runner computes on.
 
         Raises :class:`repro.xp.BackendUnavailableError` (naming the extra
         to install) when the namespace's optional dependency is missing.
@@ -284,9 +293,7 @@ class Runner:
     def run(self, spec: RunSpec) -> RunResult:
         """Execute ``spec`` (or load it from cache) into a :class:`RunResult`."""
         with self._obs_scope():
-            with obsmod.active().span(
-                "runner.run", experiment=spec.experiment, backend=self.backend
-            ):
+            with obsmod.active().span("runner.run", experiment=spec.experiment):
                 result = self._execute(spec)
         return self._attach_summary(result)
 
@@ -335,7 +342,6 @@ class Runner:
             with obsmod.active().span(
                 "runner.run",
                 experiment=spec.experiment,
-                backend=self.backend,
                 seed_start=int(seed_start),
                 seed_count=int(seed_count),
             ):
@@ -435,14 +441,12 @@ class Runner:
         }
         if window is not None:
             body["seed_window"] = [int(window[0]), int(window[1])]
-        if self.backend == "array_api":
-            namespace = self._resolve_namespace()
-            if not namespace.is_exact:
-                # Non-bit-exact configurations (torch, float32) get their own
-                # cache entries; the exact NumPy/float64 namespace keeps
-                # sharing entries with the loop/vectorized backends, because
-                # their results are array_equal by construction.
-                body["xp"] = namespace.config_dict()
+        namespace = self._resolve_namespace()
+        if not namespace.is_exact:
+            # Non-bit-exact configurations (torch, float32) get their own
+            # cache entries; the exact NumPy/float64 namespace keeps the
+            # historical keys.
+            body["xp"] = namespace.config_dict()
         payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
         suffix = "npz" if self.cache_format == "npz" else "json"
@@ -485,28 +489,8 @@ class Runner:
         root_seed = int(params["seed"])
         stream_start = 0 if window is None else int(window[0])
         max_attempts = n if window is not None else max(200, 80 * n)
-        batched_backend = self.backend in ("vectorized", "array_api")
-        vectorized = batched_backend and defn.build_batch is not None
-        if batched_backend and defn.build_batch is None:
-            obsmod.active().count("runner.loop_fallbacks")
-            warnings.warn(
-                f"experiment {defn.name!r} defines no build_batch hook; "
-                f"falling back to the per-topology loop backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # The array_api backend is the vectorized sweep executed under an
-        # active repro.xp namespace; build_batch hooks (and the compute
-        # boundaries they call) pick it up via repro.xp.active().
-        xp_namespace = (
-            self._resolve_namespace() if self.backend == "array_api" else None
-        )
-        if self.batch_size is not None:
-            batch_cap = self.batch_size
-        elif vectorized:
-            batch_cap = _VECTORIZED_BATCH_CAP
-        else:
-            batch_cap = max(8, 4 * self.jobs)
+        batch_cap = self.batch_size or _DEFAULT_BATCH_CAP
+        namespace = self._resolve_namespace()
 
         accepted: list = []
         attempts = 0
@@ -522,11 +506,9 @@ class Runner:
                     target = max_attempts - attempts
                 else:
                     # Aim for exactly what is still needed (padded to keep
-                    # every worker busy) so a parallel run schedules no more
-                    # builds than a serial one; the cap only bounds a single
-                    # round.
+                    # every worker busy); the cap only bounds one round.
                     target = max(n - len(accepted), min(self.jobs, batch_cap))
-                    if vectorized and attempts:
+                    if attempts:
                         # Rejection-heavy sweeps would otherwise shrink to
                         # deficit-sized (eventually single-seed) batches and
                         # forfeit the stacking win.  Overdraw by the observed
@@ -542,21 +524,24 @@ class Runner:
                     root_seed, stream_start + attempts, count
                 )
                 attempts += count
-                if vectorized:
-                    if xp_namespace is not None:
-                        with xpmod.use(xp_namespace):
-                            outcomes = defn.build_batch(seeds, params)
-                    else:
-                        outcomes = defn.build_batch(seeds, params)
-                elif self.jobs > 1:
+                if self.jobs > 1:
                     if executor is None:
                         executor = ProcessPoolExecutor(max_workers=self.jobs)
                         owns_executor = True
-                    outcomes = executor.map(
-                        _build_one, repeat(defn.name), seeds, repeat(params)
+                    size = math.ceil(count / self.jobs)
+                    chunks = [seeds[i : i + size] for i in range(0, count, size)]
+                    outcomes = chain.from_iterable(
+                        executor.map(
+                            _build_chunk,
+                            repeat(defn.name),
+                            chunks,
+                            repeat(params),
+                            repeat((self.namespace, self.device, self.dtype)),
+                        )
                     )
                 else:
-                    outcomes = (defn.build(s, params) for s in seeds)
+                    with xpmod.use(namespace):
+                        outcomes = defn.build_batch(seeds, params)
                 for outcome in outcomes:
                     if outcome is None:
                         continue

@@ -37,7 +37,7 @@ from .. import __version__ as _PACKAGE_VERSION
 from .. import obs as obsmod
 from ..analysis.streaming import StreamingSummary
 from ..api.result import RunResult
-from ..api.runner import Runner, _CACHE_READ_ERRORS
+from ..api.runner import Runner, _CACHE_READ_ERRORS, warn_deprecated_backend
 from ..api.spec import RunSpec
 from .journal import JOURNAL_NAME, MANIFEST_NAME, CampaignJournal, read_manifest, write_manifest
 from .result import CampaignResult, CellAggregate
@@ -79,7 +79,6 @@ def _shard_worker(payload: dict) -> dict:
     runner = Runner(
         jobs=1,
         cache_dir=payload["cache_dir"],
-        backend=payload["backend"],
         cache_format=payload["cache_format"],
         telemetry=telemetry,
     )
@@ -159,8 +158,9 @@ class CampaignRunner:
         Concurrent shard workers; ``1`` (default) executes shards
         in-process, in canonical order.
     backend:
-        Per-shard Runner backend (``"vectorized"`` default -- shards are
-        exactly the stacked batches it is fastest at).
+        Deprecated and ignored, like :attr:`repro.api.Runner.backend`:
+        every shard runs the one batched path.  Old names warn; unknown
+        names raise ``ValueError``.
     cache_dir:
         Shard cache directory; defaults to ``<campaign_dir>/cache``.
         Point several campaigns at one directory to share shard results.
@@ -186,7 +186,7 @@ class CampaignRunner:
 
     campaign_dir: str | Path
     jobs: int = 1
-    backend: str = "vectorized"
+    backend: str | None = field(default=None, repr=False, compare=False)
     cache_dir: str | Path | None = None
     cache_format: str = "npz"
     retries: int = 2
@@ -199,6 +199,9 @@ class CampaignRunner:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("CampaignRunner.jobs must be >= 1")
+        if self.backend is not None:
+            # __post_init__ <- generated __init__ <- the caller.
+            warn_deprecated_backend(self.backend, stacklevel=3)
         if self.retries < 0:
             raise ValueError("CampaignRunner.retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -346,7 +349,6 @@ class CampaignRunner:
                 1 for r in records.values() if r.get("source") == "cache"
             ),
             jobs=self.jobs,
-            backend=self.backend,
             version=_PACKAGE_VERSION,
         )
         result = CampaignResult(
@@ -410,37 +412,46 @@ class CampaignRunner:
             "seed_count": shard.seed_count,
             "cache_dir": str(self.cache_dir),
             "cache_format": self.cache_format,
-            "backend": self.backend,
             "timeout_s": self.timeout_s,
             "telemetry": self.telemetry is not None,
             "sketch_resolution": None,  # filled by caller
         }
 
+    def _attempt_failed(self, shard: ShardPlan, exc: Exception, attempts, journal) -> None:
+        """Account one failed shard attempt; raise once retries run out.
+
+        The one failure handler of both execution modes: it owns the
+        per-shard attempt count, the retry/timeout counters, the
+        ``shard_retry`` journal event, and the final
+        :class:`CampaignError`.  Returning means: run the shard again.
+        """
+        attempts[shard.key] += 1
+        obsmod.active().count("campaign.shards.retried")
+        if isinstance(exc, ShardTimeout):
+            obsmod.active().count("campaign.shards.timeouts")
+        journal.append(
+            {
+                "event": "shard_retry",
+                "shard": shard.key,
+                "attempt": attempts[shard.key],
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        )
+        if attempts[shard.key] > self.retries:
+            raise CampaignError(
+                f"shard {shard.key} failed after {attempts[shard.key]} "
+                f"attempt(s): {exc}"
+            ) from exc
+
     def _run_inline(self, todo, records, journal) -> None:
+        attempts: dict[str, int] = defaultdict(int)
         for shard in todo:
-            attempts = 0
             while True:
                 try:
                     record = _shard_worker(self._payloads[shard.key])
                     break
                 except Exception as exc:  # noqa: BLE001 -- retried, then raised
-                    attempts += 1
-                    obsmod.active().count("campaign.shards.retried")
-                    if isinstance(exc, ShardTimeout):
-                        obsmod.active().count("campaign.shards.timeouts")
-                    journal.append(
-                        {
-                            "event": "shard_retry",
-                            "shard": shard.key,
-                            "attempt": attempts,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                    if attempts > self.retries:
-                        raise CampaignError(
-                            f"shard {shard.key} failed after {attempts} "
-                            f"attempt(s): {exc}"
-                        ) from exc
+                    self._attempt_failed(shard, exc, attempts, journal)
             self._complete(shard, record, records, journal)
 
     def _run_pool(self, todo, records, journal) -> None:
@@ -465,23 +476,7 @@ class CampaignRunner:
                         except BrokenProcessPool:
                             raise
                         except Exception as exc:  # noqa: BLE001 -- retried, then raised
-                            attempts[shard.key] += 1
-                            obsmod.active().count("campaign.shards.retried")
-                            if isinstance(exc, ShardTimeout):
-                                obsmod.active().count("campaign.shards.timeouts")
-                            journal.append(
-                                {
-                                    "event": "shard_retry",
-                                    "shard": shard.key,
-                                    "attempt": attempts[shard.key],
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                }
-                            )
-                            if attempts[shard.key] > self.retries:
-                                raise CampaignError(
-                                    f"shard {shard.key} failed after "
-                                    f"{attempts[shard.key]} attempt(s): {exc}"
-                                ) from exc
+                            self._attempt_failed(shard, exc, attempts, journal)
                             active[
                                 executor.submit(
                                     _shard_worker, self._payloads[shard.key]

@@ -8,8 +8,7 @@ stochastic terms (shadowing lattice nodes, fading innovations) are drawn
 from exactly the per-topology generator trees the scalar model builds, so
 every per-item result is **bit-identical** to constructing the matching
 ``ChannelModel`` one topology at a time.  That equality is the contract the
-``Runner``'s ``backend="vectorized"`` path relies on (and the equivalence
-suite asserts).
+``Runner``'s batched path relies on (and the equivalence suite asserts).
 
 Shape convention: batch axes lead, matrix axes trail --
 

@@ -33,7 +33,7 @@ def wall_crossings(points_a, points_b, spacing_m: float) -> np.ndarray:
     line belong to the cell to their right/top (numpy floor semantics).
 
     Both inputs may carry leading batch axes (``(..., n, 2)``): the count is
-    then computed per batch slice, which is how the vectorized backend
+    then computed per batch slice, which is how the batched path
     evaluates every topology draw in one call.
     """
     if spacing_m <= 0:

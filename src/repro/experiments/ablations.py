@@ -33,7 +33,6 @@ from .common import (
     batched_channels,
     batched_selection_capacities,
     channel_for,
-    legacy_run,
 )
 from .fig14_tagging import _subchannel, capacity_of_selection, tagged_selection
 
@@ -115,24 +114,6 @@ class TagWidthAblation:
     build = staticmethod(_tag_width_build)
     build_batch = staticmethod(_tag_width_build_batch)
     finalize = staticmethod(_tag_width_finalize)
-
-
-def tag_width_sweep(
-    n_topologies: int = 40,
-    seed: int = 0,
-    environment=None,
-    widths: tuple[int, ...] = (1, 2, 3, 4),
-    n_available: int = 2,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_tag_width`` spec."""
-    return legacy_run(
-        "ablation_tag_width",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        widths=widths,
-        n_available=n_available,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -221,22 +202,6 @@ class DasRadiusAblation:
     finalize = staticmethod(_das_radius_finalize)
 
 
-def das_radius_sweep(
-    n_topologies: int = 40,
-    seed: int = 0,
-    environment=None,
-    fractions: tuple[tuple[float, float], ...] = ((0.2, 0.4), (0.5, 0.75), (0.8, 1.0)),
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_das_radius`` spec."""
-    return legacy_run(
-        "ablation_das_radius",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        fractions=fractions,
-    )
-
-
 # ----------------------------------------------------------------------
 # Precoder zoo
 # ----------------------------------------------------------------------
@@ -303,22 +268,6 @@ class PrecoderAblation:
     build = staticmethod(_precoders_build)
     build_batch = staticmethod(_precoders_build_batch)
     finalize = staticmethod(_precoders_finalize)
-
-
-def precoder_comparison(
-    n_topologies: int = 12,
-    seed: int = 0,
-    environment=None,
-    include_full_optimal: bool = True,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_precoders`` spec."""
-    return legacy_run(
-        "ablation_precoders",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        include_full_optimal=include_full_optimal,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -394,19 +343,3 @@ class CsiErrorAblation:
     build = staticmethod(_csi_error_build)
     build_batch = staticmethod(_csi_error_build_batch)
     finalize = staticmethod(_csi_error_finalize)
-
-
-def csi_error_sweep(
-    n_topologies: int = 30,
-    seed: int = 0,
-    environment=None,
-    error_stds: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2),
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_csi_error`` spec."""
-    return legacy_run(
-        "ablation_csi_error",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        error_stds=error_stds,
-    )

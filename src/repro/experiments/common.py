@@ -1,130 +1,25 @@
-"""Shared experiment plumbing: results, sweeps, and the precoder zoo.
+"""Shared experiment plumbing: results, channel helpers, the precoder zoo.
 
-The result type and precoder dispatch now live in :mod:`repro.api`
+The result type and precoder dispatch live in :mod:`repro.api`
 (:class:`~repro.api.result.ExperimentResult`,
 :func:`~repro.api.precoders.capacity_for` over the precoder registry); this
-module re-exports them for backwards compatibility and keeps the
-serial-sweep helpers plus the :func:`legacy_run` shim that adapts the old
-per-figure ``run(...)`` signatures onto ``RunSpec``/``Runner``.
+module re-exports them next to the channel and selection helpers the
+figure modules share, in scalar and batched form.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
 import numpy as np
 
-import hashlib
-
-from .. import rng as rng_mod
 from .. import xp as xpmod
 from ..api.precoders import capacity_for, capacity_for_batch  # noqa: F401  (re-export)
-from ..api.registry import ENVIRONMENTS
-from ..api.result import ExperimentResult, RunResult  # noqa: F401  (re-export)
-from ..api.runner import Runner
-from ..api.scenarios import environment_named
-from ..api.spec import RunSpec
+from ..api.result import ExperimentResult  # noqa: F401  (re-export)
 from ..channel.batch import ChannelBatch
 from ..channel.model import ChannelModel
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
-from ..topology.scenarios import OfficeEnvironment, Scenario
-
-
-def legacy_run(
-    experiment: str,
-    *,
-    n_topologies: int | None = None,
-    seed: int = 0,
-    environment=None,
-    precoder: str | None = None,
-    **params,
-) -> RunResult:
-    """Run a registered experiment through the modern ``RunSpec`` pipeline.
-
-    This backs the deprecated per-module ``run(...)`` entry points: it
-    accepts their old keyword arguments (including ``environment`` given as
-    an :class:`OfficeEnvironment` instance) and forwards everything to a
-    serial :class:`~repro.api.runner.Runner`.
-    """
-    warnings.warn(
-        f"calling the legacy run() entry point for {experiment!r}; build a "
-        "repro.api.RunSpec and use repro.api.Runner instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if isinstance(environment, OfficeEnvironment):
-        environment = _environment_name(environment)
-    spec = RunSpec(
-        experiment=experiment,
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        precoder=precoder,
-        params=params,
-    )
-    return Runner().run(spec)
-
-
-def _environment_name(environment: OfficeEnvironment) -> str:
-    """Registry name for an environment given as an instance.
-
-    An instance matching its registered factory resolves to that name.  A
-    customized instance (old call sites could pass any
-    :class:`OfficeEnvironment`) is registered in-process under a
-    content-derived alias so the spec stays a plain string and the runner
-    reproduces the caller's exact environment.
-    """
-    name = environment.name
-    if name in ENVIRONMENTS and environment_named(name) == environment:
-        return name
-    digest = hashlib.sha256(repr(environment).encode()).hexdigest()[:8]
-    alias = f"{name}#{digest}"
-    if alias not in ENVIRONMENTS:
-        ENVIRONMENTS.add(alias, lambda environment=environment: environment)
-    elif environment_named(alias) != environment:
-        raise ValueError(
-            f"environment alias collision for {alias!r}; register the "
-            "environment explicitly with repro.register_environment"
-        )
-    return alias
-
-
-def sweep_topologies(
-    n_topologies: int,
-    seed: int,
-    build: Callable[[int], dict],
-) -> list[dict]:
-    """Evaluate ``build(topology_seed)`` over derived per-topology seeds.
-
-    ``build`` may return ``None`` to reject a topology (placement
-    constraints); the sweep keeps drawing seeds until ``n_topologies``
-    results are collected (with a generous attempt cap).
-
-    :class:`~repro.api.runner.Runner` subsumes this helper (same seed
-    stream, plus batching and process parallelism); it remains for direct
-    library use and the old call sites.
-    """
-    if n_topologies < 1:
-        raise ValueError("need at least one topology")
-    results: list[dict] = []
-    attempts = 0
-    max_attempts = max(200, 80 * n_topologies)
-    stream = rng_mod.seed_stream(seed)
-    while len(results) < n_topologies and attempts < max_attempts:
-        topo_seed = next(stream)
-        attempts += 1
-        outcome = build(topo_seed)
-        if outcome is not None:
-            results.append(outcome)
-    if len(results) < n_topologies:
-        raise RuntimeError(
-            f"only {len(results)}/{n_topologies} topologies satisfied the "
-            f"placement constraints after {attempts} attempts"
-        )
-    return results
+from ..topology.scenarios import Scenario
 
 
 def three_ap_overhearing_batch(environment, seeds):

@@ -20,7 +20,6 @@ from .common import (
     capacity_for,
     capacity_for_batch,
     channel_for,
-    legacy_run,
 )
 
 
@@ -96,19 +95,3 @@ class Fig03Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig03`` spec."""
-    return legacy_run(
-        "fig03",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-    )

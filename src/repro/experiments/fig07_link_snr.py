@@ -19,7 +19,6 @@ from .common import (
     channel_for,
     greedy_siso_snrs,
     greedy_siso_snrs_batch,
-    legacy_run,
 )
 
 
@@ -92,19 +91,3 @@ class Fig07Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig07`` spec."""
-    return legacy_run(
-        "fig07",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-    )

@@ -16,14 +16,13 @@ import numpy as np
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..topology.deployment import AntennaMode
-from ..topology.scenarios import office_a, office_b, paired_scenarios
+from ..topology.scenarios import paired_scenarios
 from .common import (
     ExperimentResult,
     batched_channels,
     capacity_for,
     capacity_for_batch,
     channel_for,
-    legacy_run,
 )
 
 
@@ -124,33 +123,3 @@ class Fig09Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    antenna_counts: tuple[int, ...] = (2, 4),
-) -> ExperimentResult:
-    """Deprecated shim: Fig 8/9 with an explicit environment (default B)."""
-    return legacy_run(
-        "fig09",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        antenna_counts=antenna_counts,
-    )
-
-
-def run_office_a(n_topologies: int = 60, seed: int = 0, **kwargs) -> ExperimentResult:
-    """Deprecated shim: Fig 8 (Office A)."""
-    return legacy_run(
-        "fig08", n_topologies=n_topologies, seed=seed, environment=office_a(), **kwargs
-    )
-
-
-def run_office_b(n_topologies: int = 60, seed: int = 0, **kwargs) -> ExperimentResult:
-    """Deprecated shim: Fig 9 (Office B)."""
-    return legacy_run(
-        "fig09", n_topologies=n_topologies, seed=seed, environment=office_b(), **kwargs
-    )

@@ -21,7 +21,7 @@ from ..core.power_balance import power_balanced_precoder
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import ExperimentResult, batched_channels, legacy_run
+from .common import ExperimentResult, batched_channels
 
 
 def _build(topo_seed: int, params: dict) -> dict:
@@ -115,21 +115,3 @@ class Fig11Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 20,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-    solver_latency_s: float = 2.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig11`` spec."""
-    return legacy_run(
-        "fig11",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-        solver_latency_s=solver_latency_s,
-    )

@@ -20,7 +20,7 @@ from ..sim.network import MacMode, aps_mutually_overhear
 from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import three_ap_scenario
-from .common import ExperimentResult, legacy_run, three_ap_overhearing_batch
+from .common import ExperimentResult, three_ap_overhearing_batch
 
 
 def count_streams(
@@ -109,19 +109,3 @@ class Fig12Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 30,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 12,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig12`` spec."""
-    return legacy_run(
-        "fig12",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-    )

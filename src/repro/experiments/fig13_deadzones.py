@@ -17,7 +17,7 @@ from ..channel.pathloss import coverage_range_m
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, channel_for, legacy_run
+from .common import ExperimentResult, batched_channels, channel_for
 
 
 def deadspot_mask(
@@ -125,21 +125,3 @@ class Fig13Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 10,
-    seed: int = 0,
-    environment=None,
-    grid_step_m: float = 0.5,
-    fade_margin_db: float = 6.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig13`` spec."""
-    return legacy_run(
-        "fig13",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        grid_step_m=grid_step_m,
-        fade_margin_db=fade_margin_db,
-    )

@@ -23,7 +23,6 @@ from .common import (
     batched_channels,
     batched_selection_capacities,
     channel_for,
-    legacy_run,
 )
 
 
@@ -145,23 +144,3 @@ class Fig14Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-    n_available: int = 2,
-    tag_width: int = 2,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig14`` spec."""
-    return legacy_run(
-        "fig14",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-        n_available=n_available,
-        tag_width=tag_width,
-    )

@@ -21,7 +21,7 @@ from ..sim.network import MacMode, NetworkSimulation, aps_mutually_overhear
 from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import three_ap_scenario
-from .common import ExperimentResult, legacy_run, three_ap_overhearing_batch
+from .common import ExperimentResult, three_ap_overhearing_batch
 
 
 def _build(topo_seed: int, params: dict) -> dict | None:
@@ -60,7 +60,7 @@ def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     seeds = list(topo_seeds)
     if params["dynamic"]:
         # The closed-loop discrete-event MAC is event-serial by nature;
-        # evaluate item by item (trivially identical to the loop path).
+        # evaluate item by item with the scalar reference build.
         return [_build(seed, params) for seed in seeds]
     index, accepted_seeds, cas_scenarios, das_scenarios = three_ap_overhearing_batch(
         env, seeds
@@ -117,23 +117,3 @@ class Fig15Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 24,
-    dynamic: bool = False,
-    duration_s: float = 0.1,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig15`` spec."""
-    return legacy_run(
-        "fig15",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-        dynamic=dynamic,
-        duration_s=duration_s,
-    )

@@ -20,7 +20,7 @@ from ..sim.network import MacMode
 from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import eight_ap_scenario
-from .common import ExperimentResult, legacy_run
+from .common import ExperimentResult
 
 
 def _build(topo_seed: int, params: dict) -> dict | None:
@@ -102,21 +102,3 @@ class Fig16Experiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 20,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 16,
-    region_m: float = 60.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig16`` spec."""
-    return legacy_run(
-        "fig16",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-        region_m=region_m,
-    )

@@ -22,7 +22,7 @@ from ..sim.batch import CarrierSenseBatch
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import hidden_terminal_scenario
-from .common import ExperimentResult, batched_channels, channel_for, legacy_run
+from .common import ExperimentResult, batched_channels, channel_for
 
 
 def hidden_spot_count(
@@ -237,21 +237,3 @@ class HiddenTerminalsExperiment:
     build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 10,
-    seed: int = 0,
-    environment=None,
-    grid_step_m: float = 1.0,
-    interference_inr_db: float = 3.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``hidden_terminals`` spec."""
-    return legacy_run(
-        "hidden_terminals",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        grid_step_m=grid_step_m,
-        interference_inr_db=interference_inr_db,
-    )

@@ -1,11 +1,9 @@
-"""Name -> experiment registry and the ``python -m repro.experiments`` CLI.
+"""The ``python -m repro.experiments`` CLI over the experiment registry.
 
-The experiment table is no longer hand-maintained: importing this module
-imports every experiment module, each of which self-registers with
-``repro.api``'s experiment registry.  ``EXPERIMENTS`` here is a thin
-legacy view (name -> callable with the classic ``run(...)`` keyword
-interface); new code should build a :class:`repro.api.RunSpec` and execute
-it with :class:`repro.api.Runner`::
+Importing this module imports every experiment module, each of which
+self-registers with ``repro.api``'s experiment registry; the CLI's choices
+are :func:`repro.api.experiment_names`.  Library code builds a
+:class:`repro.api.RunSpec` and executes it with :class:`repro.api.Runner`::
 
     python -m repro.experiments fig09 --topologies 60 --seed 0 --jobs 4 \
         --out results/fig09.json
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable
 
 from . import (  # noqa: F401  (imports trigger experiment registration)
     ablations,
@@ -41,41 +38,9 @@ from . import (  # noqa: F401  (imports trigger experiment registration)
     mobility_capacity,
     roaming_handoff,
 )
-from ..api.registry import EXPERIMENTS as _API_EXPERIMENTS
-from ..api.registry import UnknownNameError
-from ..api.runner import Runner
+from ..api.experiments import experiment_names
+from ..api.runner import DEPRECATED_BACKENDS, Runner, warn_deprecated_backend
 from ..api.spec import RunSpec
-from .common import ExperimentResult, legacy_run
-
-
-def _legacy_callable(name: str) -> Callable[..., ExperimentResult]:
-    def run(n_topologies=None, seed=0, environment=None, precoder=None, **params):
-        return legacy_run(
-            name,
-            n_topologies=n_topologies,
-            seed=seed,
-            environment=environment,
-            precoder=precoder,
-            **params,
-        )
-
-    run.__name__ = name
-    run.__doc__ = f"Deprecated shim: run the registered {name!r} spec."
-    return run
-
-
-#: Legacy view of the experiment registry (name -> classic run callable).
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    name: _legacy_callable(name) for name in _API_EXPERIMENTS.names()
-}
-
-
-def get_experiment(name: str) -> Callable[..., ExperimentResult]:
-    """Look up an experiment by registry name."""
-    try:
-        return EXPERIMENTS[name]
-    except KeyError:
-        raise UnknownNameError("experiment", name, sorted(EXPERIMENTS)) from None
 
 
 def _parse_axis_token(token: str):
@@ -106,7 +71,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "(spec-hash + seed-range cached shards, JSONL journal, streaming "
         "CDF/mean aggregates)",
     )
-    parser.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment id")
+    parser.add_argument("name", choices=experiment_names(), help="experiment id")
     parser.add_argument(
         "--campaign-dir",
         required=True,
@@ -151,9 +116,9 @@ def campaign_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["loop", "vectorized"],
-        default="vectorized",
-        help="per-shard evaluation backend (default: vectorized)",
+        choices=DEPRECATED_BACKENDS,
+        default=None,
+        help="deprecated and ignored: every shard runs the batched path",
     )
     parser.add_argument(
         "--retries", type=int, default=2, help="extra attempts per failing shard"
@@ -205,6 +170,8 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "<campaign-dir>/metrics.json regardless)",
     )
     args = parser.parse_args(argv)
+    if args.backend is not None:
+        warn_deprecated_backend(args.backend, stacklevel=3)
 
     axes: dict[str, list] = {}
     for name, values in args.axis:
@@ -239,7 +206,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
     runner = CampaignRunner(
         campaign_dir=args.campaign_dir,
         jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         retries=args.retries,
         timeout_s=args.timeout,
@@ -275,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate a MIDAS paper figure (or run "
         "'campaign <experiment> ...' for a sharded resumable sweep)",
     )
-    parser.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment id")
+    parser.add_argument("name", choices=experiment_names(), help="experiment id")
     parser.add_argument("--topologies", type=int, default=None, help="topology count")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
@@ -283,29 +249,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["loop", "vectorized", "array_api"],
-        default="loop",
-        help="evaluation backend ('vectorized' batches all topology draws "
-        "through stacked array math, bit-identical to 'loop'; 'array_api' "
-        "runs the batched path on a configurable repro.xp namespace)",
+        choices=DEPRECATED_BACKENDS,
+        default=None,
+        help="deprecated and ignored: every run takes the batched path",
     )
     parser.add_argument(
         "--namespace",
         choices=["numpy", "torch"],
         default="numpy",
-        help="array namespace for --backend array_api (default: numpy)",
+        help="array namespace the batched path runs on (default: numpy)",
     )
     parser.add_argument(
         "--device",
         default="cpu",
         metavar="DEV",
-        help="compute device for --backend array_api (cpu, cuda, cuda:0, ...)",
+        help="compute device (cpu, cuda, cuda:0, ...; default: cpu)",
     )
     parser.add_argument(
         "--dtype",
         choices=["float32", "float64"],
         default="float64",
-        help="real dtype for --backend array_api (default: float64)",
+        help="real dtype (default: float64, the bit-exact reference)",
     )
     parser.add_argument(
         "--precoder",
@@ -366,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         "FILE as JSON",
     )
     args = parser.parse_args(argv)
+    if args.backend is not None:
+        warn_deprecated_backend(args.backend, stacklevel=2)
 
     spec = RunSpec(
         experiment=args.name,
@@ -387,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     runner = Runner(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         namespace=args.namespace,
         device=args.device,
         dtype=args.dtype,

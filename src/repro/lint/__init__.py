@@ -1,7 +1,7 @@
 """Static enforcement of the repository's reproducibility contracts.
 
 Every load-bearing guarantee in this reproduction -- bit-identical results
-across backends, the derived-seed RNG tree, omit-when-unset spec hashing,
+against the scalar reference, the derived-seed RNG tree, omit-when-unset spec hashing,
 ``xp`` namespace dispatch, pre-declared telemetry vocabulary, atomic
 persistence -- is enforced at runtime by the tier-1 suites, but only on the
 paths a test happens to execute.  ``repro.lint`` checks the same contracts
@@ -32,8 +32,6 @@ RPL005    units discipline: no arithmetic mixing dB-scale and
           linear-power suffixed names without a converter
 RPL006    atomic writes: persistence in cache/campaign/result modules
           must use the tmp-sibling + ``os.replace`` pattern
-RPL007    registered experiments must ship ``build_batch`` or carry the
-          documented loop-fallback marker
 ========  ==============================================================
 """
 

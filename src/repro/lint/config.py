@@ -61,9 +61,6 @@ class LintConfig:
     atomic_write_modules:
         File patterns whose persistence writes must use the tmp-sibling
         + ``os.replace`` pattern (RPL006).
-    experiment_modules:
-        File patterns where experiment registrations are checked for
-        ``build_batch`` (RPL007).
     exclude_parts:
         Path components that exclude a file from directory walks
         (fixture trees with seeded violations, caches).
@@ -120,7 +117,6 @@ class LintConfig:
         "repro/obs/*",
         "repro/channel/traces.py",
     )
-    experiment_modules: tuple = ("repro/experiments/*",)
     exclude_parts: tuple = ("__pycache__", ".git", "lint_fixtures", ".pytest_cache")
 
     # ------------------------------------------------------------------
@@ -145,9 +141,6 @@ class LintConfig:
 
     def is_atomic_write_module(self, path: str) -> bool:
         return self._any(path, self.atomic_write_modules)
-
-    def is_experiment_module(self, path: str) -> bool:
-        return self._any(path, self.experiment_modules)
 
     def _any(self, path: str, patterns: Sequence[str]) -> bool:
         return any(_match(path, pattern) for pattern in patterns)

@@ -9,5 +9,4 @@ from . import (  # noqa: F401  (imports trigger rule registration)
     rpl004_telemetry,
     rpl005_units,
     rpl006_atomic_writes,
-    rpl007_experiments,
 )

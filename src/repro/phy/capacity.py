@@ -13,7 +13,7 @@ formula (§5.1); :func:`sum_capacity_bps_hz` does the same.
 Every function here accepts either one matrix or a *stack* of them with
 leading batch axes (``(batch, n_clients, n_antennas)`` channels paired with
 ``(batch, n_antennas, n_streams)`` precoders) -- the shape convention of the
-vectorized backend.  Matrix axes always trail; reductions run over the
+batched path.  Matrix axes always trail; reductions run over the
 trailing axes so a stacked call is bit-identical, slice for slice, to N
 scalar calls.
 

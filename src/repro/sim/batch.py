@@ -15,7 +15,7 @@ topology draw of a batch simultaneously:
   precoders; SINRs include cross-AP interference accumulated in the scalar
   evaluator's order.
 
-The contract is the vectorized backend's usual one, asserted by the
+The contract is the batched path's usual one, asserted by the
 equivalence suite: item ``i`` of every result is **bit-identical** to
 running the scalar evaluator on scenario ``i`` alone.  The carrier-sense
 side of that contract holds because both implementations reduce masked

@@ -30,8 +30,8 @@ def as_point_stack(points) -> np.ndarray:
     """Coerce input to a float array of shape ``(..., n, 2)``.
 
     Accepts a single ``(n, 2)`` point set or a batch ``(batch, n, 2)`` of
-    them (any number of leading axes); used by the vectorized channel
-    backend, which stacks one point set per topology draw.
+    them (any number of leading axes); used by the batched channel
+    synthesis, which stacks one point set per topology draw.
     """
     arr = np.atleast_2d(np.asarray(points, dtype=float))
     if arr.shape[-1] != 2:

@@ -12,8 +12,8 @@ configuration:
 * :class:`NumpyNamespace` delegates every operation **to numpy itself** --
   the function objects are literally NumPy's, so code running on the default
   namespace is bit-identical to code calling ``np.*`` directly.  This is the
-  contract that keeps ``Runner(backend="vectorized")`` byte-stable and makes
-  ``backend="array_api"`` on the NumPy namespace ``array_equal`` to it.
+  contract that keeps the default ``Runner()`` byte-stable and
+  ``array_equal`` to the per-topology scalar reference.
 * :class:`~repro.xp._torch.TorchNamespace` adapts the same surface onto
   ``torch`` tensors (CPU or CUDA, float32 or float64).  Floating-point
   results then match the NumPy path only to documented tolerances (see
@@ -29,7 +29,7 @@ Three pieces glue the namespaces into the runner:
   torch tensors stay on-device through the whole precode/score pipeline.
 * :func:`use` / :func:`active` -- a context-local *active* namespace the
   ``Runner`` installs around ``build_batch`` calls so experiments pick the
-  backend up without signature changes.
+  namespace up without signature changes.
 
 **The RNG bridge.**  Randomness never moves off NumPy: every stochastic
 term (topology placement, shadowing lattice nodes, fading innovations, CSI
@@ -250,9 +250,8 @@ def active() -> ArrayNamespace:
     """The namespace the current context computes on.
 
     Defaults to NumPy/CPU/float64 -- the bit-exact reference configuration
-    -- unless a :func:`use` block (installed by
-    ``Runner(backend="array_api")`` around ``build_batch`` calls) says
-    otherwise.
+    -- unless a :func:`use` block (installed by the ``Runner`` around
+    ``build_batch`` calls) says otherwise.
     """
     namespace = _ACTIVE.get()
     return namespace if namespace is not None else get_namespace()

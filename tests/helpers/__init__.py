@@ -4,10 +4,11 @@ Kept out of ``conftest.py`` so test modules can import them explicitly --
 ``from conftest import ...`` is ambiguous when several conftests (tests/,
 benchmarks/) are on ``sys.path``.
 
-The package also hosts the tolerance tier's closeness framework
-(:mod:`helpers.closeness`) and the documented per-backend equivalence
-contracts (:mod:`helpers.contracts`); the most-used names are re-exported
-here.
+The package also hosts the per-topology reference the batched Runner is
+held to (:mod:`helpers.reference`), the tolerance tier's closeness
+framework (:mod:`helpers.closeness`) and the documented per-namespace
+equivalence contracts (:mod:`helpers.contracts`); the most-used names are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .contracts import (  # noqa: F401  (re-export)
     TORCH_CPU_F64_CONTRACT,
     contract_for,
 )
+from .reference import run_reference, sweep_topologies  # noqa: F401  (re-export)
 
 
 def run_experiment(
@@ -40,11 +42,10 @@ def run_experiment(
     precoder: str | None = None,
     **params,
 ):
-    """Run a registered experiment through the modern RunSpec/Runner path.
+    """Run a registered experiment through the RunSpec/Runner path.
 
-    The keyword surface mirrors the old per-figure ``run(...)`` entry points
-    so migrated tests read the same, without the deprecated shims (which
-    tier-1 now treats as errors outside the explicit shim-warning test).
+    The keyword surface mirrors the per-figure ``run(...)`` entry points
+    the package once shipped, so the figure tests read the same.
     """
     from repro.api import Runner, RunSpec
 

@@ -98,3 +98,27 @@ class TestBuiltinRegistrations:
         for name, defn in EXPERIMENTS.items():
             assert "n_topologies" in defn.defaults, name
             assert callable(defn.build) and callable(defn.finalize), name
+            assert callable(defn.build_batch), name
+
+    def test_registering_without_build_batch_raises(self):
+        from repro.api.experiments import ExperimentDef, register_experiment
+
+        class NoBatchHook:
+            name = "_no_batch_hook_probe"
+            description = "probe"
+            defaults = {"n_topologies": 1}
+            build = staticmethod(lambda seed, params: {})
+            finalize = staticmethod(lambda outcomes, params: None)
+
+        with pytest.raises(TypeError, match="build_batch"):
+            register_experiment(NoBatchHook)
+        with pytest.raises(TypeError, match="build_batch"):
+            ExperimentDef(
+                name="_no_batch_hook_probe",
+                description="probe",
+                build=NoBatchHook.build,
+                finalize=NoBatchHook.finalize,
+                build_batch=None,
+                defaults={"n_topologies": 1},
+            )
+        assert "_no_batch_hook_probe" not in EXPERIMENTS

@@ -66,8 +66,16 @@ class TestRunnerExecution:
         assert set(result.series) == {"cas_drop", "das_drop"}
         assert result.spec.experiment == "fig03"
 
-    def test_serial_vs_parallel_identical(self):
-        spec = RunSpec("fig03", n_topologies=3, seed=5)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec("fig03", n_topologies=3, seed=5),
+            # Rejection-heavy: several top-up rounds, each split into chunks.
+            RunSpec("fig15", n_topologies=3, seed=5, params={"rounds_per_topology": 2}),
+        ],
+        ids=["fig03", "fig15"],
+    )
+    def test_serial_vs_parallel_identical(self, spec):
         serial = Runner(jobs=1).run(spec)
         parallel = Runner(jobs=2).run(spec)
         for key in serial.series:
@@ -79,16 +87,6 @@ class TestRunnerExecution:
         large = Runner(batch_size=32).run(spec)
         for key in small.series:
             np.testing.assert_array_equal(small.series[key], large.series[key])
-
-    def test_matches_legacy_entry_point(self):
-        from repro.experiments.fig03_naive_drop import run
-
-        spec_result = Runner().run(RunSpec("fig03", n_topologies=2, seed=4))
-        with pytest.warns(DeprecationWarning):
-            legacy = run(n_topologies=2, seed=4)
-        np.testing.assert_array_equal(
-            spec_result.series["das_drop"], legacy.series["das_drop"]
-        )
 
     def test_bad_runner_config_rejected(self):
         with pytest.raises(ValueError):
@@ -147,70 +145,12 @@ class TestRunnerCache:
         assert len(list(tmp_path.glob("fig03-*.json"))) == 2
 
 
-class TestVectorizedFallback:
-    def test_missing_batch_hook_warns_with_experiment_name(self):
-        from repro.api.experiments import ExperimentDef, register_experiment
-        from repro.api.registry import EXPERIMENTS
-        from repro.api.result import ExperimentResult
-
-        name = "_loop_only_probe"
-        register_experiment(
-            ExperimentDef(
-                name=name,
-                description="loop-only probe experiment",
-                build=lambda seed, params: {"x": float(seed % 7)},
-                finalize=lambda outcomes, params: ExperimentResult(
-                    name=name,
-                    description="probe",
-                    series={"x": np.asarray([o["x"] for o in outcomes])},
-                    params={},
-                ),
-                defaults={"n_topologies": 2},
-            )
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match=name):
-                Runner(backend="vectorized").run(RunSpec(name, n_topologies=2))
-        finally:
-            EXPERIMENTS._items.pop(name, None)
-
+class TestNoFallback:
     def test_batched_experiment_does_not_warn(self, recwarn):
-        Runner(backend="vectorized").run(RunSpec("fig03", n_topologies=2, seed=1))
+        Runner().run(RunSpec("fig03", n_topologies=2, seed=1))
         assert not [
             w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
         ]
-
-
-class TestLegacyEnvironments:
-    def test_custom_environment_instance_respected(self):
-        import numpy as np
-
-        from repro.config import RadioConfig
-        from repro.experiments.fig03_naive_drop import run
-        from repro.topology.scenarios import OfficeEnvironment, office_b
-
-        custom = OfficeEnvironment(
-            name="office_b", radio=RadioConfig(pathloss_exponent=2.0)
-        )
-        with pytest.warns(DeprecationWarning):
-            modified = run(n_topologies=2, seed=0, environment=custom)
-            stock = run(n_topologies=2, seed=0, environment=office_b())
-        # The old API honored arbitrary instances; the shim must too.
-        assert not np.array_equal(
-            modified.series["das_drop"], stock.series["das_drop"]
-        )
-
-    def test_unregistered_environment_name_works(self):
-        from repro.config import RadioConfig
-        from repro.experiments.fig03_naive_drop import run
-        from repro.topology.scenarios import OfficeEnvironment
-
-        env = OfficeEnvironment(
-            name="warehouse", radio=RadioConfig(pathloss_exponent=4.5)
-        )
-        with pytest.warns(DeprecationWarning):
-            result = run(n_topologies=1, seed=0, environment=env)
-        assert set(result.series) == {"cas_drop", "das_drop"}
 
 
 class TestCli:
@@ -312,7 +252,7 @@ class TestAtomicSave:
 
 class TestRunWindow:
     def test_window_union_equals_monolithic_run(self):
-        runner = Runner(backend="vectorized")
+        runner = Runner()
         mono = runner.run(RunSpec("fig07", n_topologies=10, seed=4))
         parts = [
             runner.run_window(RunSpec("fig07", seed=4), 0, 4),
@@ -326,7 +266,7 @@ class TestRunWindow:
     def test_rejecting_experiment_windows_partition_consistently(self):
         # fig15 rejects some placements: two adjacent windows must accept
         # exactly what one window covering both does.
-        runner = Runner(backend="vectorized")
+        runner = Runner()
         whole = runner.run_window(RunSpec("fig15"), 0, 12)
         parts = [
             runner.run_window(RunSpec("fig15"), 0, 6),

@@ -1,17 +1,14 @@
-"""``backend="array_api"`` on the NumPy namespace vs the vectorized backend.
+"""The batched Runner on an explicit :mod:`repro.xp` namespace.
 
 The acceptance bar for the dispatch layer: running the batched engine
-through ``repro.xp`` on the default NumPy/float64 namespace must be
-``array_equal`` to ``backend="vectorized"`` for *every* experiment with a
-batch hook -- the dispatch indirection itself is not allowed to cost a
-single bit.  (Loop vs vectorized equality is pinned by
-``test_vectorized_equivalence``; chaining through it makes all three
-backends mutually exact.)
+through ``repro.xp`` on the NumPy/float64 namespace must be ``array_equal``
+to the per-topology reference (``run_reference``) for *every* registered
+experiment -- the dispatch indirection itself is not allowed to cost a
+single bit.
 
 Also covered here: the runner-level integration seams -- eager
-missing-torch errors, xp-config validation, fallback warnings under
-``array_api``, cache-key sharing between exact backends (and separation
-for inexact configs), and the CLI flags.
+missing-torch errors, xp-config validation, cache-key sharing for the
+exact namespace (and separation for inexact configs), and the CLI flags.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ import importlib.util
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import RunSpec, Runner
 from repro.xp import BackendUnavailableError
 from test_vectorized_equivalence import EXPERIMENT_CASES
@@ -33,84 +31,46 @@ TORCH_MISSING = importlib.util.find_spec("torch") is None
     EXPERIMENT_CASES,
     ids=[f"{c[0]}-{i}" for i, c in enumerate(EXPERIMENT_CASES)],
 )
-def test_array_api_on_numpy_is_bit_identical_to_vectorized(
+def test_numpy_namespace_is_bit_identical_to_reference(
     experiment, spec_kwargs, params
 ):
     spec = RunSpec(experiment, seed=7, params=params, **spec_kwargs)
-    vectorized = Runner(backend="vectorized").run(spec)
-    array_api = Runner(backend="array_api").run(spec)
-    assert set(vectorized.series) == set(array_api.series)
-    for key in vectorized.series:
-        assert np.array_equal(vectorized.series[key], array_api.series[key]), key
+    reference = run_reference(spec)
+    batched = Runner(namespace="numpy", device="cpu", dtype="float64").run(spec)
+    assert set(reference.series) == set(batched.series)
+    for key in reference.series:
+        assert np.array_equal(reference.series[key], batched.series[key]), key
 
 
 # ----------------------------------------------------------------------
 # Runner integration seams
 # ----------------------------------------------------------------------
-def test_xp_config_is_rejected_on_non_array_api_backends():
-    with pytest.raises(ValueError, match="array_api"):
-        Runner(backend="vectorized", dtype="float32")
-    with pytest.raises(ValueError, match="array_api"):
-        Runner(backend="loop", namespace="torch")
-    with pytest.raises(ValueError, match="array_api"):
-        Runner(backend="vectorized", device="cuda")
-
-
 def test_invalid_xp_configs_fail_at_construction():
     # Eager resolution: a bad config must not wait for .run() to explode.
     with pytest.raises(ValueError, match="dtype"):
-        Runner(backend="array_api", dtype="float16")
+        Runner(dtype="float16")
     with pytest.raises(ValueError, match="device"):
-        Runner(backend="array_api", device="cuda")  # numpy namespace is CPU-only
+        Runner(device="cuda")  # numpy namespace is CPU-only
 
 
 @pytest.mark.skipif(not TORCH_MISSING, reason="torch is installed here")
 def test_missing_torch_fails_eagerly_with_the_extra_named():
     with pytest.raises(BackendUnavailableError, match=r"repro-midas\[torch\]"):
-        Runner(backend="array_api", namespace="torch")
+        Runner(namespace="torch")
     # The numpy namespace keeps working after the failed construction.
-    result = Runner(backend="array_api").run(RunSpec("fig03", n_topologies=2, seed=1))
+    result = Runner().run(RunSpec("fig03", n_topologies=2, seed=1))
     assert result.series
-
-
-def test_array_api_fallback_warning_names_the_experiment():
-    from repro.api.experiments import ExperimentDef, register_experiment
-    from repro.api.registry import EXPERIMENTS
-    from repro.api.result import ExperimentResult
-
-    name = "_loop_only_xp_probe"
-    register_experiment(
-        ExperimentDef(
-            name=name,
-            description="loop-only probe experiment",
-            build=lambda seed, params: {"x": float(seed % 7)},
-            finalize=lambda outcomes, params: ExperimentResult(
-                name=name,
-                description="probe",
-                series={"x": np.asarray([o["x"] for o in outcomes])},
-                params={},
-            ),
-            defaults={"n_topologies": 2},
-        )
-    )
-    try:
-        with pytest.warns(RuntimeWarning, match=name):
-            fallback = Runner(backend="array_api").run(RunSpec(name, n_topologies=2))
-        loop = Runner(backend="loop").run(RunSpec(name, n_topologies=2))
-        assert np.array_equal(fallback.series["x"], loop.series["x"])
-    finally:
-        EXPERIMENTS._items.pop(name, None)
 
 
 # ----------------------------------------------------------------------
 # Caching
 # ----------------------------------------------------------------------
-def test_exact_array_api_shares_cache_entries_with_vectorized(tmp_path):
+def test_explicit_exact_namespace_shares_cache_entries_with_default(tmp_path):
     spec = RunSpec("fig03", n_topologies=3, seed=1)
-    first = Runner(backend="vectorized", cache_dir=tmp_path).run(spec)
-    # Bit-equal backends share keys: the array_api runner must *hit* the
-    # vectorized entry, not write a second one.
-    second = Runner(backend="array_api", cache_dir=tmp_path).run(spec)
+    first = Runner(cache_dir=tmp_path).run(spec)
+    # Spelling out the default NumPy/float64 config must *hit* the default
+    # runner's entry, not write a second one.
+    second = Runner(namespace="numpy", dtype="float64", cache_dir=tmp_path).run(spec)
     assert len(list(tmp_path.iterdir())) == 1
     for key in first.series:
         assert np.array_equal(first.series[key], second.series[key])
@@ -118,18 +78,16 @@ def test_exact_array_api_shares_cache_entries_with_vectorized(tmp_path):
 
 def test_inexact_configs_get_their_own_cache_entries(tmp_path):
     spec = RunSpec("fig03", n_topologies=3, seed=1)
-    exact = Runner(backend="array_api", cache_dir=tmp_path).run(spec)
-    blurred = Runner(backend="array_api", dtype="float32", cache_dir=tmp_path).run(
-        spec
-    )
+    exact = Runner(cache_dir=tmp_path).run(spec)
+    blurred = Runner(dtype="float32", cache_dir=tmp_path).run(spec)
     # float32 results are *not* bit-equal; sharing a key would poison the
-    # exact backends' cache.
+    # exact cache.
     assert len(list(tmp_path.iterdir())) == 2
     assert not all(
         np.array_equal(exact.series[k], blurred.series[k]) for k in exact.series
     )
     # And the float32 entry round-trips for the same config.
-    again = Runner(backend="array_api", dtype="float32", cache_dir=tmp_path).run(spec)
+    again = Runner(dtype="float32", cache_dir=tmp_path).run(spec)
     assert len(list(tmp_path.iterdir())) == 2
     for key in blurred.series:
         assert np.array_equal(blurred.series[key], again.series[key])
@@ -138,7 +96,7 @@ def test_inexact_configs_get_their_own_cache_entries(tmp_path):
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_accepts_the_array_api_backend_flags(capsys, tmp_path):
+def test_cli_accepts_the_xp_flags(capsys, tmp_path):
     from repro.experiments.registry import main
 
     out = tmp_path / "fig03.json"
@@ -149,8 +107,6 @@ def test_cli_accepts_the_array_api_backend_flags(capsys, tmp_path):
             "2",
             "--seed",
             "3",
-            "--backend",
-            "array_api",
             "--dtype",
             "float32",
             "--out",
@@ -162,8 +118,11 @@ def test_cli_accepts_the_array_api_backend_flags(capsys, tmp_path):
     assert "fig03" in capsys.readouterr().out
 
 
-def test_cli_rejects_xp_flags_without_the_array_api_backend():
+def test_cli_backend_flag_warns_and_matches_default(capsys, tmp_path):
     from repro.experiments.registry import main
 
-    with pytest.raises(ValueError, match="array_api"):
-        main(["fig03", "--topologies", "2", "--dtype", "float32"])
+    outs = [tmp_path / "flag.json", tmp_path / "plain.json"]
+    with pytest.warns(DeprecationWarning, match="backend"):
+        main(["fig03", "--topologies", "2", "--backend", "array_api", "--out", str(outs[0])])
+    main(["fig03", "--topologies", "2", "--out", str(outs[1])])
+    assert outs[0].read_text() == outs[1].read_text()

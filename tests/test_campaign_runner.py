@@ -27,7 +27,7 @@ class TestAggregateExactness:
         n = 24
         campaign = CampaignSpec("fig07", n_topologies=n, shard_size=7, seed=3)
         result = _quiet_runner(tmp_path).run(campaign)
-        mono = Runner(backend="vectorized").run(
+        mono = Runner().run(
             RunSpec("fig07", n_topologies=n, seed=3)
         )
         cell = result.cells[0]
@@ -128,6 +128,17 @@ class TestCachingAndResume:
             CampaignRunner(tmp_path, retries=-1)
         with pytest.raises(ValueError, match="timeout"):
             CampaignRunner(tmp_path, timeout_s=0.0)
+        with pytest.raises(ValueError, match="backend"):
+            CampaignRunner(tmp_path, backend="gpu")
+
+    def test_deprecated_backend_warns_and_is_not_recorded(self, tmp_path):
+        campaign = CampaignSpec("fig07", n_topologies=4, shard_size=4)
+        with pytest.warns(DeprecationWarning, match="backend"):
+            runner = _quiet_runner(tmp_path, backend="loop")
+        result = runner.run(campaign)
+        plain = _quiet_runner(tmp_path, name="plain").run(campaign)
+        assert "backend" not in result.notes
+        assert result.aggregates_equal(plain)
 
 
 class TestResultRoundTrip:
@@ -228,6 +239,16 @@ class TestCli:
         assert result.notes["n_resumed"] == result.notes["n_shards"]
         assert result.campaign.params == {"antenna_counts": [2]}
         assert result.campaign.axes == {"precoder": ["naive", "balanced"]}
+
+    def test_campaign_backend_flag_warns(self, tmp_path, capsys):
+        argv = ["campaign", "fig07", "--topologies", "4", "--shard-size", "4", "--quiet"]
+        with pytest.warns(DeprecationWarning, match="backend"):
+            rc = main(argv + ["--campaign-dir", str(tmp_path / "a"), "--backend", "loop"])
+        assert rc == 0
+        main(argv + ["--campaign-dir", str(tmp_path / "b")])
+        flagged = CampaignResult.load(tmp_path / "a" / "result.json")
+        plain = CampaignResult.load(tmp_path / "b" / "result.json")
+        assert flagged.aggregates_equal(plain)
 
     def test_classic_single_run_cli_still_works(self, tmp_path, capsys):
         rc = main(["fig03", "--topologies", "2", "--seed", "1"])

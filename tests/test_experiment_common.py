@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import sweep_topologies
 from repro.experiments.common import (
     ExperimentResult,
     capacity_for,
     channel_for,
     greedy_siso_snrs,
-    sweep_topologies,
 )
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario

@@ -39,8 +39,8 @@ def run_fixture(name, logical_path=LIB, select=None):
 # Framework
 # ----------------------------------------------------------------------
 class TestFramework:
-    def test_all_seven_rules_registered(self):
-        assert list(RULES) == [f"RPL00{i}" for i in range(1, 8)]
+    def test_all_six_rules_registered(self):
+        assert list(RULES) == [f"RPL00{i}" for i in range(1, 7)]
 
     def test_diagnostic_format_and_order(self):
         a = Diagnostic("b.py", 3, 1, "RPL002", "m")
@@ -240,25 +240,6 @@ class TestRpl006:
         assert not run_fixture(
             "rpl006_violation.py", logical_path="repro/sim/fake.py",
             select=["RPL006"],
-        )
-
-
-# ----------------------------------------------------------------------
-# RPL007 -- experiments ship build_batch
-# ----------------------------------------------------------------------
-class TestRpl007:
-    SCOPE = "repro/experiments/fake_fig.py"
-
-    def test_violation_caught(self):
-        diagnostics = run_fixture(
-            "rpl007_violation.py", logical_path=self.SCOPE, select=["RPL007"]
-        )
-        assert codes(diagnostics) == ["RPL007"]
-        assert "UnbatchedExperiment" in diagnostics[0].message
-
-    def test_near_miss_passes(self):
-        assert not run_fixture(
-            "rpl007_near_miss.py", logical_path=self.SCOPE, select=["RPL007"]
         )
 
 

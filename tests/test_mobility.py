@@ -12,6 +12,7 @@ The two contracts every test here circles around:
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import MOBILITY, RunSpec, Runner
 from repro.config import SimConfig
 from repro.mobility import (
@@ -422,8 +423,8 @@ class TestMobilityCapacityExperiment:
     )
 
     def test_backends_bit_identical(self):
-        loop = Runner(backend="loop").run(self.SPEC)
-        vec = Runner(backend="vectorized").run(self.SPEC)
+        loop = run_reference(self.SPEC)
+        vec = Runner().run(self.SPEC)
         assert set(loop.series) == {
             "cas_capacity_bps_hz", "cas_sounding_fraction",
             "midas_capacity_bps_hz", "midas_sounding_fraction",

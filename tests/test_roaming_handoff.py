@@ -3,8 +3,8 @@
 The experiment sweeps association policies against client speed on a
 small campus AP grid (MIDAS stack only).  Key contracts:
 
-* scalar and vectorized backends produce ``array_equal`` series (the
-  batch association layer consumes literally the scalar decisions),
+* the batched Runner and the scalar reference give ``array_equal`` series
+  (the batch association layer consumes literally the scalar decisions),
 * ``nearest_anchor`` never hands off (the paper's implicit baseline),
 * the spec-level ``association`` axis restricts the sweep to one policy
   and ``coordination`` is threaded through to every evaluator.
@@ -13,6 +13,7 @@ small campus AP grid (MIDAS stack only).  Key contracts:
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import Runner, RunSpec
 
 FAST = {
@@ -26,8 +27,8 @@ class TestRoamingHandoffExperiment:
     SPEC = RunSpec("roaming_handoff", n_topologies=2, seed=3, params=FAST)
 
     def test_backends_bit_identical(self):
-        loop = Runner(backend="loop").run(self.SPEC)
-        vec = Runner(backend="vectorized").run(self.SPEC)
+        loop = run_reference(self.SPEC)
+        vec = Runner().run(self.SPEC)
         assert set(loop.series) == {
             f"{policy}_{metric}"
             for policy in (
@@ -78,8 +79,8 @@ class TestRoamingHandoffExperiment:
             association="strongest_rssi",
             coordination="coordinated_scheduling",
         )
-        loop = Runner(backend="loop").run(spec)
-        vec = Runner(backend="vectorized").run(spec)
+        loop = run_reference(spec)
+        vec = Runner().run(spec)
         assert loop.params["coordination"] == "coordinated_scheduling"
         for key in loop.series:
             np.testing.assert_array_equal(loop.series[key], vec.series[key])

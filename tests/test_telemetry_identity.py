@@ -4,7 +4,7 @@ The contract the whole :mod:`repro.obs` layer rests on: instrumentation
 never draws randomness and never changes engine control flow, so every
 series an engine produces is ``array_equal`` with telemetry on or off --
 on both engine families (the round engines behind ``roaming_handoff``,
-loop and batched, and the event-driven ``NetworkSimulation`` behind
+scalar reference and batched, and the event-driven ``NetworkSimulation`` behind
 ``fig15``) -- and every RNG the run creates ends in exactly the same
 state.  Plus the acceptance checks of the traced path itself: a traced
 run's JSONL is schema-valid, names every documented counter, and its
@@ -18,13 +18,14 @@ import json
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro import obs
 from repro import rng as rng_mod
 from repro.api import Runner, RunSpec
 from repro.obs import CORE_COUNTERS
 
 #: Small-but-real configurations, one per engine family.  roaming_handoff
-#: exercises the round engines (loop + batched) with mobility, association,
+#: exercises the round engines (scalar + batched) with mobility, association,
 #: and handoff accounting; fig15 additionally drives the event-driven
 #: carrier-sense engine (NetworkSimulation) for CAS.
 _CASES = [
@@ -32,12 +33,18 @@ _CASES = [
     ("fig15", {"dynamic": True, "duration_s": 0.02}),
 ]
 
-_BACKENDS = ("loop", "vectorized")
+#: The scalar per-topology reference and the batched Runner.
+_PATHS = ("reference", "batched")
 
 
-def _run(experiment, params, backend, telemetry=None):
+def _run(experiment, params, path, telemetry=None):
     spec = RunSpec(experiment, n_topologies=2, seed=7, params=params)
-    return Runner(backend=backend, telemetry=telemetry).run(spec)
+    if path == "batched":
+        return Runner(telemetry=telemetry).run(spec)
+    if telemetry is None:
+        return run_reference(spec)
+    with obs.use(telemetry):
+        return run_reference(spec)
 
 
 class _RngLedger:
@@ -71,25 +78,25 @@ class _RngLedger:
 
 
 @pytest.mark.parametrize("experiment,params", _CASES)
-@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("path", _PATHS)
 def test_series_byte_identical_with_telemetry_on_or_off(
-    experiment, params, backend, monkeypatch
+    experiment, params, path, monkeypatch
 ):
     ledger_off = _RngLedger(monkeypatch)
-    baseline = _run(experiment, params, backend)
+    baseline = _run(experiment, params, path)
     states_off = ledger_off.final_states()
 
     monkeypatch.undo()
     ledger_on = _RngLedger(monkeypatch)
     telemetry = obs.Telemetry()
-    traced = _run(experiment, params, backend, telemetry=telemetry)
+    traced = _run(experiment, params, path, telemetry=telemetry)
     states_on = ledger_on.final_states()
 
     assert set(baseline.series) == set(traced.series)
     for name in baseline.series:
         assert np.array_equal(
             np.asarray(baseline.series[name]), np.asarray(traced.series[name])
-        ), f"series {name!r} diverged under telemetry ({backend})"
+        ), f"series {name!r} diverged under telemetry ({path})"
 
     # Zero extra RNG draws: the same generators exist and every one ends
     # in exactly the same state.
@@ -109,11 +116,11 @@ def test_series_byte_identical_with_telemetry_on_or_off(
 
 
 def test_result_telemetry_summary_only_when_enabled():
-    baseline = _run("roaming_handoff", {"rounds_per_topology": 4}, "loop")
+    baseline = _run("roaming_handoff", {"rounds_per_topology": 4}, "batched")
     assert baseline.telemetry is None
     telemetry = obs.Telemetry()
     traced = _run(
-        "roaming_handoff", {"rounds_per_topology": 4}, "loop", telemetry=telemetry
+        "roaming_handoff", {"rounds_per_topology": 4}, "batched", telemetry=telemetry
     )
     assert traced.telemetry is not None
     assert traced.telemetry.counter("engine.rounds") > 0

@@ -6,11 +6,11 @@ Two halves:
    deliberately perturbed results -- the crucial direction is that it
    *fails when it should*, since a closeness check that silently passes
    everything is worse than none.
-2. The documented per-backend contracts (``helpers.contracts``) are
-   enforced end-to-end: the float32 array_api configuration (torch-free,
+2. The documented per-namespace contracts (``helpers.contracts``) are
+   enforced end-to-end: the float32 NumPy configuration (torch-free,
    runs everywhere) and -- when torch is installed -- the torch-CPU
    float64 configuration must meet ``contract_for(...)`` against the
-   bit-exact vectorized reference.
+   bit-exact NumPy/float64 Runner.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def test_ordering_sensitive_set_names_registered_experiments_only():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: float32 array_api meets its documented contract (torch-free)
+# End-to-end: float32 NumPy meets its documented contract (torch-free)
 # ----------------------------------------------------------------------
 #: Spot checks spanning both tiers: smooth capacity sweeps and
 #: ordering-sensitive pipelines (greedy selection, MAC rounds, queueing).
@@ -221,12 +221,12 @@ F32_CASES = [
     F32_CASES,
     ids=[c[0] for c in F32_CASES],
 )
-def test_float32_array_api_meets_the_documented_contract(
+def test_float32_numpy_meets_the_documented_contract(
     experiment, spec_kwargs, params
 ):
     spec = RunSpec(experiment, seed=7, params=params, **spec_kwargs)
-    reference = Runner(backend="vectorized").run(spec)
-    actual = Runner(backend="array_api", dtype="float32").run(spec)
+    reference = Runner().run(spec)
+    actual = Runner(dtype="float32").run(spec)
     contract = contract_for(experiment, "numpy", "float32")
     assert contract is not EXACT_CONTRACT
     assert_close_result(actual, reference, contract)
@@ -249,8 +249,8 @@ def test_torch_cpu_float64_meets_the_documented_contract(
     experiment, spec_kwargs, params
 ):
     spec = RunSpec(experiment, seed=7, params=params, **spec_kwargs)
-    reference = Runner(backend="vectorized").run(spec)
-    actual = Runner(backend="array_api", namespace="torch").run(spec)
+    reference = Runner().run(spec)
+    actual = Runner(namespace="torch").run(spec)
     assert_close_result(
         actual, reference, contract_for(experiment, "torch", "float64")
     )
@@ -259,6 +259,6 @@ def test_torch_cpu_float64_meets_the_documented_contract(
 @pytest.mark.skipif(TORCH_MISSING, reason="torch not installed")
 def test_torch_cpu_float32_meets_the_float32_contract():
     spec = RunSpec("fig09", n_topologies=3, seed=7)
-    reference = Runner(backend="vectorized").run(spec)
-    actual = Runner(backend="array_api", namespace="torch", dtype="float32").run(spec)
+    reference = Runner().run(spec)
+    actual = Runner(namespace="torch", dtype="float32").run(spec)
     assert_close_result(actual, reference, contract_for("fig09", "torch", "float32"))

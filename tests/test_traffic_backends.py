@@ -1,10 +1,11 @@
 """Finite-load engine tests: scalar/batch bit-identity (no tolerances),
 full-buffer no-op guarantees, result accessors, the latency_vs_load
-experiment on both Runner backends, and the event-driven MAC's traffic."""
+experiment against the scalar reference, and the event-driven MAC's traffic."""
 
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import RunSpec, Runner
 from repro.config import SimConfig
 from repro.sim.batch import RoundBasedEvaluatorBatch
@@ -164,8 +165,8 @@ class TestLatencyVsLoadExperiment:
     @pytest.fixture(scope="class")
     def results(self):
         return (
-            Runner(backend="loop").run(self.SPEC),
-            Runner(backend="vectorized").run(self.SPEC),
+            run_reference(self.SPEC),
+            Runner().run(self.SPEC),
         )
 
     def test_backends_bit_identical(self, results):

@@ -1,11 +1,12 @@
-"""Bit-for-bit equivalence of the vectorized backend against the loop path.
+"""Bit-for-bit equivalence of the batched path against the scalar reference.
 
-The vectorized backend's whole contract is that stacking never changes a
-bit: batched precoders equal their scalar siblings slice for slice, batched
+The batched path's whole contract is that stacking never changes a bit:
+batched precoders equal their scalar siblings slice for slice, batched
 channel synthesis equals per-topology ``ChannelModel`` construction, and
-``Runner(backend="vectorized")`` reproduces ``backend="loop"`` exactly for
-every registered experiment.  Everything here asserts ``array_equal`` --
-no tolerances.
+``Runner()`` reproduces the per-topology reference (``run_reference``: the
+experiment's scalar ``build`` walked seed by seed) exactly for every
+registered experiment.  Everything here asserts ``array_equal`` -- no
+tolerances.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import run_reference
 from repro.api import (
     BATCH_PRECODERS,
     PRECODERS,
@@ -192,8 +194,7 @@ def test_channel_batch_rejects_mixed_shapes():
 # Runner end-to-end
 # ----------------------------------------------------------------------
 #: Every registered experiment at a tiny size; the slow network-sim
-#: experiments run with reduced rounds.  Experiments without a batch hook
-#: exercise the (identical-by-construction) fallback path.
+#: experiments run with reduced rounds.
 EXPERIMENT_CASES = [
     ("fig03", {"n_topologies": 4}, {}),
     ("fig07", {"n_topologies": 4}, {}),
@@ -231,22 +232,61 @@ EXPERIMENT_CASES = [
     EXPERIMENT_CASES,
     ids=[f"{c[0]}-{i}" for i, c in enumerate(EXPERIMENT_CASES)],
 )
-def test_vectorized_backend_is_bit_identical(experiment, spec_kwargs, params):
+def test_batched_runner_is_bit_identical_to_reference(experiment, spec_kwargs, params):
     spec = RunSpec(experiment, seed=7, params=params, **spec_kwargs)
-    loop = Runner(backend="loop").run(spec)
-    vectorized = Runner(backend="vectorized").run(spec)
-    assert set(loop.series) == set(vectorized.series)
-    for key in loop.series:
-        assert np.array_equal(loop.series[key], vectorized.series[key]), key
+    reference = run_reference(spec)
+    batched = Runner().run(spec)
+    assert set(reference.series) == set(batched.series)
+    for key in reference.series:
+        assert np.array_equal(reference.series[key], batched.series[key]), key
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RunSpec("fig03", n_topologies=2, seed=7),
+        RunSpec("fig15", n_topologies=2, seed=7, params={"rounds_per_topology": 2}),
+        RunSpec(
+            "fig15",
+            n_topologies=1,
+            seed=7,
+            params={"rounds_per_topology": 2, "dynamic": True, "duration_s": 0.02},
+        ),
+    ],
+    ids=["fig03", "fig15", "fig15-dynamic"],
+)
+def test_runner_never_calls_the_scalar_build(spec, monkeypatch):
+    import dataclasses
+
+    from repro.api.registry import EXPERIMENTS
+
+    def forbidden(topo_seed, params):
+        raise AssertionError("the Runner called ExperimentDef.build")
+
+    defn = get_experiment_def(spec.experiment)
+    monkeypatch.setitem(
+        EXPERIMENTS._items, spec.experiment, dataclasses.replace(defn, build=forbidden)
+    )
+    assert Runner().run(spec).series
 
 
 def test_every_registered_experiment_defines_the_hook():
-    # Since the batched round engine landed, all 16 experiments (and the
-    # ablations) run under the vectorized backend -- no fallbacks left.
     from repro.api import experiment_names
 
     for name in experiment_names():
-        assert get_experiment_def(name).build_batch is not None, name
+        assert callable(get_experiment_def(name).build_batch), name
+
+
+@pytest.mark.parametrize("backend", ["loop", "vectorized", "array_api"])
+def test_deprecated_backend_names_warn_and_run_the_batched_path(backend):
+    spec = RunSpec("fig03", n_topologies=3, seed=1)
+    with pytest.warns(DeprecationWarning, match="backend"):
+        runner = Runner(backend=backend)
+    result = runner.run(spec)
+    plain = Runner().run(spec)
+    assert set(result.series) == set(plain.series)
+    for key in plain.series:
+        assert np.array_equal(result.series[key], plain.series[key]), key
 
 
 def test_runner_rejects_unknown_backend():
@@ -254,12 +294,12 @@ def test_runner_rejects_unknown_backend():
         Runner(backend="gpu")
 
 
-def test_vectorized_backend_composes_with_caching(tmp_path):
+def test_batched_runner_composes_with_caching(tmp_path):
     spec = RunSpec("fig03", n_topologies=3, seed=1)
-    first = Runner(backend="vectorized", cache_dir=tmp_path).run(spec)
-    # A loop-backend runner hits the vectorized runner's cache entry:
-    # backends are bit-equal, so the cache key ignores them.
-    second = Runner(backend="loop", cache_dir=tmp_path).run(spec)
+    first = Runner(cache_dir=tmp_path).run(spec)
+    second = Runner(cache_dir=tmp_path).run(spec)
+    reference = run_reference(spec)
     for key in first.series:
         assert np.array_equal(first.series[key], second.series[key])
+        assert np.array_equal(first.series[key], reference.series[key])
     assert len(list(tmp_path.iterdir())) == 1
