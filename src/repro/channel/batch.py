@@ -28,7 +28,12 @@ from ..topology import geometry
 from . import walls
 from .fading import _project_psd, correlation_sqrt, sample_fading
 from .pathloss import LogDistancePathLoss
-from .shadowing import ShadowingField, group_antenna_sites, prepare_points
+from .shadowing import (
+    ShadowingField,
+    group_antenna_sites,
+    prepare_point_stack,
+    prepare_points,
+)
 
 
 def stacked_correlation(
@@ -168,12 +173,15 @@ class ChannelBatch:
         if self.radio.shadowing_sigma_db == 0.0:
             return shadow
         # Lattice-geometry preparation is shared across an item's site
-        # fields (and across items for a shared point set); per-item draws
-        # stay in site order, matching the scalar model.
+        # fields (and across items for a shared point set, or computed in one
+        # pass for a per-item stack); per-item draws stay in site order,
+        # matching the scalar model.
         correlation = self.radio.shadowing_correlation_m
-        prep = prepare_points(pts, correlation) if shared else None
-        for row, b in enumerate(idx):
-            item_prep = prep if shared else prepare_points(pts[row], correlation)
+        if shared:
+            preps = [prepare_points(pts, correlation)] * len(idx)
+        else:
+            preps = prepare_point_stack(pts, correlation)
+        for row, (b, item_prep) in enumerate(zip(idx, preps)):
             site_of = self._site_of_antenna[b]
             for site, field in enumerate(self._site_fields[b]):
                 columns = np.flatnonzero(site_of == site)

@@ -34,33 +34,48 @@ _KEY_STRIDE = 2**31
 _CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
 
 
+def _lattice_geometry(pts: np.ndarray, correlation_m: float):
+    """Lattice keys ``(..., n, 4)``, bilinear weights ``(..., n, 4)`` and
+    weight norms ``(..., n)`` of query points ``(..., n, 2)``."""
+    scaled = pts / correlation_m
+    base = np.floor(scaled).astype(np.int64)
+    frac = scaled - base
+    corners = base[..., None, :] + _CORNERS  # (..., n, 4, 2)
+    keys = corners[..., 0] * _KEY_STRIDE + corners[..., 1]
+    fx = frac[..., 0]
+    fy = frac[..., 1]
+    weights = np.stack(
+        [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=-1
+    )
+    return keys, weights, np.sqrt(np.sum(weights * weights, axis=-1))
+
+
 class PreparedPoints:
     """Lattice keys and bilinear weights of one query-point set, reusable
     across every :class:`ShadowingField` sharing the correlation length."""
 
     __slots__ = ("n_points", "keys", "key_list", "weights", "norm")
 
-    def __init__(self, pts: np.ndarray, correlation_m: float):
-        scaled = pts / correlation_m
-        base = np.floor(scaled).astype(np.int64)
-        frac = scaled - base
-        corners = base[:, None, :] + _CORNERS[None, :, :]  # (n, 4, 2)
-        self.n_points = len(pts)
-        self.keys = corners[..., 0] * _KEY_STRIDE + corners[..., 1]
+    def __init__(self, keys: np.ndarray, weights: np.ndarray, norm: np.ndarray):
+        self.n_points = len(keys)
+        self.keys = keys
         # Only the small-set dict-walk branch of sample_prepared reads the
         # boxed key list; large point sets (survey grids) skip the boxing.
-        self.key_list = self.keys.ravel().tolist() if self.keys.size <= 64 else None
-        fx = frac[:, 0]
-        fy = frac[:, 1]
-        self.weights = np.stack(
-            [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1
-        )
-        self.norm = np.sqrt(np.sum(self.weights * self.weights, axis=1))
+        self.key_list = keys.ravel().tolist() if keys.size <= 64 else None
+        self.weights = weights
+        self.norm = norm
 
 
 def prepare_points(points, correlation_m: float) -> PreparedPoints:
     """Pre-compute the lattice-interpolation geometry for ``points``."""
-    return PreparedPoints(geometry.as_points(points), correlation_m)
+    return PreparedPoints(*_lattice_geometry(geometry.as_points(points), correlation_m))
+
+
+def prepare_point_stack(points, correlation_m: float) -> list[PreparedPoints]:
+    """:func:`prepare_points` for each set of a ``(batch, n, 2)`` stack,
+    with the geometry computed for the whole stack at once."""
+    keys, weights, norm = _lattice_geometry(geometry.as_point_stack(points), correlation_m)
+    return [PreparedPoints(*item) for item in zip(keys, weights, norm)]
 
 
 class ShadowingField:

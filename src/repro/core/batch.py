@@ -2,15 +2,17 @@
 
 Every function mirrors its scalar sibling in :mod:`repro.core` but operates
 on a *stack* of channels ``(batch, n_clients, n_antennas)`` at once, using
-broadcasting ``linalg`` (stacked ``svd``/``pinv``/``eigh``/matmul loop over
-the trailing two axes inside one call).  The contract -- asserted by the
+broadcasting ``linalg`` (stacked ``svd``/``eigh``/matmul loop over the
+trailing two axes inside one call).  The contract -- asserted by the
 equivalence suite -- is **bit-identity** on the NumPy namespace: slice ``i``
 of every output equals the scalar function applied to slice ``i`` of the
 input, including the data-dependent control flow of the power-balancing
-iteration and the reverse water-filling bisection, which run with per-item
-masks that freeze an item the same round the scalar loop would exit.
+iteration, which runs with a per-item mask that freezes an item the same
+round the scalar loop would exit.  Reverse water-filling needs no such
+mask: each item's level is solved in closed form by the same
+:func:`~repro.core.waterfill.exact_water_level` the scalar solver calls.
 
-This is the heart of the ``backend="vectorized"`` Runner path: Monte-Carlo
+This is the precoding core of the ``Runner``'s batched path: Monte-Carlo
 sweeps spend their time in many tiny (4x4-ish) matrix problems, where the
 Python dispatch overhead of one-matrix-at-a-time evaluation dwarfs the
 arithmetic; stacking turns the sweep into a handful of LAPACK gufunc calls.
@@ -32,7 +34,7 @@ import numpy as np
 
 from ..phy.capacity import per_antenna_row_power, stream_sinrs
 from ..xp import array_namespace, to_numpy
-from .waterfill import _BUDGET_RTOL
+from .waterfill import exact_water_level
 
 
 def _as_channel_stack(h):
@@ -53,8 +55,8 @@ def zfbf_directions(h, rcond: float = 1e-12):
     """Stacked unit-norm ZFBF columns (see :func:`repro.core.zfbf.zfbf_directions`).
 
     Raises :class:`numpy.linalg.LinAlgError` if *any* item is numerically
-    rank deficient -- matching the loop backend, where the first offending
-    topology aborts the sweep.
+    rank deficient -- matching the scalar reference, where the first
+    offending topology aborts the sweep.
     """
     h = _as_channel_stack(h)
     xp = array_namespace(h)
@@ -65,13 +67,17 @@ def zfbf_directions(h, rcond: float = 1e-12):
         )
     if n_clients == 0:
         raise ValueError("need at least one client")
-    singular_values = xp.linalg.svd(h, compute_uv=False)
+    u, singular_values, vh = xp.linalg.svd(xp.conj(h), full_matrices=False)
     if xp.any(singular_values[..., -1] <= rcond * singular_values[..., 0]):
         raise np.linalg.LinAlgError(
             "a channel matrix in the batch is (numerically) rank deficient; "
             "zero-forcing cannot separate these clients"
         )
-    v = xp.linalg.pinv(h, rcond=rcond)
+    # The pseudo-inverse from the same factors, built as numpy.linalg.pinv
+    # builds it; every singular value clears the cutoff once the check passed.
+    v = xp.swapaxes(vh, -1, -2) @ (
+        (1.0 / singular_values)[..., None] * xp.swapaxes(u, -1, -2)
+    )
     norms = xp.linalg.norm(v, axis=-2)
     return v / norms[..., None, :]
 
@@ -135,8 +141,8 @@ def reverse_waterfill(
 
     ``row_powers_mw`` and ``sinrs`` are ``(..., n_streams)`` stacks; the
     budget and weight floor are shared scalars (one radio config per batch).
-    The bisection iterates all items together but freezes each item the
-    iteration its own tolerance is met, reproducing the scalar early exit.
+    Every item's water level comes from one closed-form solve over the whole
+    stack; capped and trivial items then overwrite their rows.
     """
     xp = array_namespace(row_powers_mw, sinrs)
     q = xp.asarray(row_powers_mw, dtype=xp.float_dtype)
@@ -160,70 +166,31 @@ def reverse_waterfill(
     marginal = (1.0 + 1.0 / rho_safe) * q  # water-level coordinates per stream
     caps = (1.0 - min_weight**2) * q  # max removable power per stream (req. i)
 
-    def total_reduction(level):
-        return xp.sum(xp.clip(marginal - level[..., None], 0.0, caps), axis=-1)
+    # marginal >= caps elementwise, so the deepest cut removes every cap.
+    capped = ~trivial & (required >= xp.sum(caps, axis=-1))
 
-    max_possible = total_reduction(xp.zeros_like(required))
-    capped = ~trivial & (required >= max_possible)
-
-    # --- capped branch: min-weight caps bind everywhere ----------------
-    capped_reductions = caps
-    capped_weights = xp.sqrt(
-        xp.maximum(1.0 - capped_reductions / xp.maximum(q, 1e-300), 0.0)
-    )
-    capped_weights = xp.where(q > 0, xp.maximum(capped_weights, min_weight), 1.0)
-
-    # --- bisection branch, per-item freeze on convergence --------------
-    bisect = ~trivial & ~capped
-    low = xp.zeros_like(required)
-    high = xp.max(marginal, axis=-1)
-    active = xp.copy(bisect)
-    for _ in range(200):
-        if not xp.any(active):
-            break
-        mid = 0.5 * (low + high)
-        reduce_mid = total_reduction(mid)
-        go_low = reduce_mid > required
-        low = xp.where(active & go_low, mid, low)
-        high = xp.where(active & ~go_low, mid, high)
-        active = active & (high - low > _BUDGET_RTOL * xp.maximum(1.0, high))
-    level = 0.5 * (low + high)
-    reductions = xp.clip(marginal - level[..., None], 0.0, caps)
-
-    # Exact budget: distribute any bisection residual across the streams
-    # strictly between 0 and their cap (same repair as the scalar solver).
-    residual = required - xp.sum(reductions, axis=-1)
-    between = (reductions > 0) & (reductions < caps)
-    n_active = xp.sum(between, axis=-1)
-    fix = bisect & (xp.abs(residual) > _BUDGET_RTOL * power_budget_mw) & (n_active > 0)
-    if xp.any(fix):
-        adjusted = xp.clip(
-            reductions + (residual / xp.maximum(n_active, 1))[..., None],
-            0.0,
-            caps,
-        )
-        reductions = xp.where(fix[..., None] & between, adjusted, reductions)
-
+    # --- closed form: one exact water level per item ------------------
+    level, reductions = exact_water_level(marginal, caps, required)
     with xp.errstate(divide="ignore", invalid="ignore"):
         ratio = xp.where(q > 0, reductions / xp.maximum(q, 1e-300), 0.0)
-    bisect_weights = xp.sqrt(xp.clip(1.0 - ratio, min_weight**2, 1.0))
+    weights = xp.sqrt(xp.clip(1.0 - ratio, min_weight**2, 1.0))
+    water_level = level
 
-    # --- select per-item branch results --------------------------------
-    ones = xp.ones_like(q)
-    weights = xp.where(
-        trivial[..., None],
-        ones,
-        xp.where(capped[..., None], capped_weights, bisect_weights),
-    )
-    reductions_out = xp.where(
-        trivial[..., None],
-        xp.zeros_like(q),
-        xp.where(capped[..., None], capped_reductions, reductions),
-    )
-    water_level = xp.where(trivial, xp.inf, xp.where(capped, 0.0, level))
+    # --- capped items: min-weight caps bind everywhere ----------------
+    if xp.any(capped):
+        capped_weights = xp.sqrt(xp.maximum(1.0 - caps / xp.maximum(q, 1e-300), 0.0))
+        capped_weights = xp.where(q > 0, xp.maximum(capped_weights, min_weight), 1.0)
+        weights = xp.where(capped[..., None], capped_weights, weights)
+        reductions = xp.where(capped[..., None], caps, reductions)
+        water_level = xp.where(capped, 0.0, water_level)
+
+    # --- trivial items: already within budget -------------------------
+    weights = xp.where(trivial[..., None], 1.0, weights)
+    reductions = xp.where(trivial[..., None], 0.0, reductions)
+    water_level = xp.where(trivial, xp.inf, water_level)
     return BatchWaterfillResult(
         weights=weights,
-        reductions_mw=reductions_out,
+        reductions_mw=reductions,
         water_level=water_level,
         capped=capped,
     )

@@ -15,7 +15,8 @@ numerical optimization.  Two comparators are provided:
   computationally complex to realize" [11, 32].
 
 Both are deliberately allowed to be slow; they exist to bound the fast
-closed form, exactly as in the paper.
+closed form, exactly as in the paper.  Each imports ``scipy.optimize`` on
+first call, so importing the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..phy.capacity import (
     per_antenna_row_power,
@@ -61,6 +61,8 @@ def optimal_power_allocation(
     """
     if per_antenna_power_mw <= 0 or noise_mw <= 0:
         raise ValueError("powers must be positive")
+    from scipy import optimize
+
     h = np.asarray(h, dtype=complex)
     directions = zfbf_directions(h)
     n_clients = directions.shape[1]
@@ -128,6 +130,8 @@ def full_optimal_precoder(
     """
     if per_antenna_power_mw <= 0 or noise_mw <= 0:
         raise ValueError("powers must be positive")
+    from scipy import optimize
+
     h = np.asarray(h, dtype=complex)
     n_clients, n_antennas = h.shape
     shape = (n_antennas, n_clients)

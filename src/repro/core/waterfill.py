@@ -17,6 +17,12 @@ requirements shape the solver:
   element's power;
 * (ii) **only reductions are allowed** (``P_j >= 0``) -- increases could
   re-violate antennas that were already fixed and prevent convergence.
+
+The level itself is solved in closed form (:func:`exact_water_level`): the
+removed power ``sum_j clip(m_j - L, 0, c_j)`` is piecewise linear in the
+level ``L``, so sorting its ``2n`` breakpoints brackets the solution on one
+linear segment.  :mod:`repro.core.batch` runs the same function on stacks,
+which keeps the scalar and batched solvers bit-identical.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Tolerance on meeting the power budget, relative to the budget.
-_BUDGET_RTOL = 1e-9
+from ..xp import array_namespace
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,60 @@ class WaterfillResult:
     def feasible(self) -> bool:
         """Whether the requested budget was actually reached."""
         return not self.capped
+
+
+def exact_water_level(marginal, caps, required):
+    """Solve ``sum_j clip(m_j - L, 0, c_j) = required`` for the water level
+    ``L``; returns ``(L, reductions)`` for ``(..., n)`` stacks in any
+    :mod:`repro.xp` namespace.
+
+    The removed power is continuous, piecewise linear and non-increasing in
+    ``L`` with breakpoints ``{m_j - c_j, m_j}``.  Evaluating it at the sorted
+    breakpoints brackets ``required`` on one segment, where interpolating
+    between the two ends is exact.  ``required`` has the stack's leading
+    shape; rows outside ``0 < required < sum(caps)`` get finite values that
+    callers discard.
+    """
+    xp = array_namespace(marginal, caps)
+    floors = marginal - caps
+    breakpoints = xp.sort(xp.concatenate([floors, marginal], axis=-1), axis=-1)
+    removed = xp.sum(
+        xp.clip(
+            marginal[..., None, :] - breakpoints[..., :, None],
+            0.0,
+            caps[..., None, :],
+        ),
+        axis=-1,
+    )
+    # First breakpoint whose removed power no longer exceeds the target:
+    # the solution lies between it and its predecessor.
+    n_points = breakpoints.shape[-1]
+    upper = xp.clip(
+        xp.sum(removed > required[..., None], axis=-1), 1, n_points - 1
+    )[..., None]
+    ends = xp.concatenate([upper - 1, upper], axis=-1)
+    level_ends = xp.take_along_axis(breakpoints, ends, axis=-1)
+    removed_ends = xp.take_along_axis(removed, ends, axis=-1)
+    level_lo, level_hi = level_ends[..., :1], level_ends[..., 1:]
+    removed_lo = removed_ends[..., 0]
+    drop = removed_lo - removed_ends[..., 1]
+    step = xp.clip(
+        (removed_lo - required) / xp.where(drop > 0, drop, 1.0), 0.0, 1.0
+    )
+    level = level_lo[..., 0] + step * (level_hi[..., 0] - level_lo[..., 0])
+    reductions = xp.clip(marginal - level[..., None], 0.0, caps)
+
+    # Exact budget: a near-zero SINR puts its stream's level coordinate at
+    # ~1e12 x its power, where ``marginal - level`` keeps only a few digits.
+    # The streams spanning the bracketing segment remove power at slope one
+    # each, so sharing the residual among them lands on the target.
+    spanning = (floors <= level_lo) & (marginal >= level_hi)
+    residual = required - xp.sum(reductions, axis=-1)
+    share = residual / xp.maximum(xp.sum(spanning, axis=-1), 1)
+    reductions = xp.where(
+        spanning, xp.clip(reductions + share[..., None], 0.0, caps), reductions
+    )
+    return level, reductions
 
 
 def reverse_waterfill(
@@ -96,11 +155,8 @@ def reverse_waterfill(
     marginal = (1.0 + 1.0 / rho_safe) * q  # water-level coordinates per stream
     caps = (1.0 - min_weight**2) * q  # max removable power per stream (req. i)
 
-    def total_reduction(level: float) -> float:
-        return float(np.sum(np.clip(marginal - level, 0.0, caps)))
-
-    max_possible = total_reduction(0.0)
-    if required_reduction >= max_possible:
+    # marginal >= caps elementwise, so the deepest cut removes every cap.
+    if required_reduction >= float(np.sum(caps)):
         # Min-weight caps bind everywhere: return the deepest allowed cut.
         reductions = caps
         weights = np.sqrt(np.maximum(1.0 - reductions / np.maximum(q, 1e-300), 0.0))
@@ -109,36 +165,15 @@ def reverse_waterfill(
             weights=weights, reductions_mw=reductions, water_level=0.0, capped=True
         )
 
-    # total_reduction is continuous and non-increasing in the level; bisect.
-    low, high = 0.0, float(marginal.max())
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if total_reduction(mid) > required_reduction:
-            low = mid
-        else:
-            high = mid
-        if high - low <= _BUDGET_RTOL * max(1.0, high):
-            break
-    level = 0.5 * (low + high)
-    reductions = np.clip(marginal - level, 0.0, caps)
-
-    # Exact budget: distribute any residual due to bisection tolerance across
-    # the streams that are strictly between 0 and their cap.
-    residual = required_reduction - float(reductions.sum())
-    if abs(residual) > _BUDGET_RTOL * power_budget_mw:
-        active = (reductions > 0) & (reductions < caps)
-        n_active = int(active.sum())
-        if n_active:
-            adjusted = reductions[active] + residual / n_active
-            reductions = reductions.copy()
-            reductions[active] = np.clip(adjusted, 0.0, caps[active])
-
+    level, reductions = exact_water_level(
+        marginal, caps, np.asarray(required_reduction)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q > 0, reductions / np.maximum(q, 1e-300), 0.0)
     weights = np.sqrt(np.clip(1.0 - ratio, min_weight**2, 1.0))
     return WaterfillResult(
         weights=weights,
         reductions_mw=reductions,
-        water_level=level,
+        water_level=float(level),
         capped=False,
     )

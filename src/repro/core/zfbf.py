@@ -33,13 +33,17 @@ def zfbf_directions(h: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
         )
     if n_clients == 0:
         raise ValueError("need at least one client")
-    singular_values = np.linalg.svd(h, compute_uv=False)
+    u, singular_values, vh = np.linalg.svd(np.conj(h), full_matrices=False)
     if singular_values[-1] <= rcond * singular_values[0]:
         raise np.linalg.LinAlgError(
             "channel matrix is (numerically) rank deficient; zero-forcing "
             "cannot separate these clients"
         )
-    v = np.linalg.pinv(h, rcond=rcond)
+    # The pseudo-inverse from the same factors, built as numpy.linalg.pinv
+    # builds it; every singular value clears the cutoff once the check passed.
+    v = np.swapaxes(vh, -1, -2) @ (
+        (1.0 / singular_values)[..., None] * np.swapaxes(u, -1, -2)
+    )
     norms = np.linalg.norm(v, axis=0)
     return v / norms[None, :]
 

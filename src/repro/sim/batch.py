@@ -572,10 +572,11 @@ class RoundBasedEvaluatorBatch:
             for b in np.flatnonzero(item_active):
                 for s, (ap, antennas, chosen) in enumerate(planned[b]):
                     clients_global = np.asarray(chosen, dtype=int)
-                    slot_true[(b, s)] = h[b][np.ix_(clients_global, antennas)]
+                    rows = clients_global[:, None]  # broadcast gather; np.ix_ costs more
+                    slot_true[(b, s)] = h[b][rows, antennas]
                     slot_clients[(b, s)] = clients_global
                     slot_estimates[(b, s)] = apply_csi_error(
-                        h_csi[b][np.ix_(clients_global, antennas)],
+                        h_csi[b][rows, antennas],
                         self.sim.csi_error_std,
                         self._csi_rngs[b],
                     )
@@ -631,7 +632,7 @@ class RoundBasedEvaluatorBatch:
             for keys in pair_groups.values():
                 h_cross_np = np.stack(
                     [
-                        h[b][np.ix_(slot_clients[(b, s)], planned[b][other][1])]
+                        h[b][slot_clients[(b, s)][:, None], planned[b][other][1]]
                         for b, s, other in keys
                     ]
                 )

@@ -4,8 +4,8 @@ Kept out of ``conftest.py`` so test modules can import them explicitly --
 ``from conftest import ...`` is ambiguous when several conftests (tests/,
 benchmarks/) are on ``sys.path``.
 
-The package also hosts the per-topology reference the batched Runner is
-held to (:mod:`helpers.reference`), the tolerance tier's closeness
+The package also hosts the references the production code is held to
+(:mod:`helpers.reference`), the tolerance tier's closeness
 framework (:mod:`helpers.closeness`) and the documented per-namespace
 equivalence contracts (:mod:`helpers.contracts`); the most-used names are
 re-exported here.
@@ -30,7 +30,11 @@ from .contracts import (  # noqa: F401  (re-export)
     TORCH_CPU_F64_CONTRACT,
     contract_for,
 )
-from .reference import run_reference, sweep_topologies  # noqa: F401  (re-export)
+from .reference import (  # noqa: F401  (re-export)
+    bisection_reverse_waterfill,
+    run_reference,
+    sweep_topologies,
+)
 
 
 def run_experiment(

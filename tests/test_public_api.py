@@ -1,8 +1,15 @@
 """Public API surface tests: the README quickstart must keep working."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import repro
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestImportSurface:
@@ -12,6 +19,23 @@ class TestImportSurface:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    def test_importing_the_experiments_leaves_scipy_optimize_unloaded(self):
+        # Only the numerical-optimum comparators need scipy.optimize; every
+        # CLI call and campaign worker imports repro.experiments.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC, env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, repro.experiments; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestReadmeQuickstart:

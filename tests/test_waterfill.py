@@ -64,6 +64,19 @@ class TestBudgetRestoration:
         result = reverse_waterfill(q, rho, 1.2)
         assert result.reductions_mw[0] > result.reductions_mw[1]
 
+    def test_zero_sinr_stream_is_cut_to_the_budget_not_past_it(self):
+        # A zero-SINR stream sits at ~1e12 x its power in level coordinates.
+        # A bisection whose tolerance scales with that coordinate leaves
+        # this row at 83.8% of its budget, the stream floored to weight 0.1;
+        # the exact level puts the row on budget, and the stream keeps
+        # sqrt(1 - 0.2 / 0.3) of its amplitude.
+        q = np.array([0.5, 0.3])
+        result = reverse_waterfill(q, np.array([20.0, 0.0]), 0.6)
+        assert not result.capped
+        assert np.sum(result.weights**2 * q) == pytest.approx(0.6, rel=1e-12)
+        assert result.weights[0] == 1.0
+        assert result.weights[1] == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
+
 
 class TestOptimality:
     def test_beats_uniform_scaling(self):
