@@ -11,7 +11,8 @@ Every run takes one execution path: the experiment's ``build_batch``
 over stacked seed batches, under the :mod:`repro.xp` namespace selected by
 ``Runner(namespace=..., device=..., dtype=...)`` (NumPy/float64, the
 bit-exact default, unless told otherwise).  ``Runner(backend=...)`` is
-deprecated and ignored for one release.
+deprecated and ignored (it warns); ``run`` and ``run_window`` share one
+resolve -> cache -> sweep -> finalize -> save path.
 
 Pluggability comes from three decorator-driven registries --
 :func:`register_precoder`, :func:`register_scenario` (plus

@@ -36,7 +36,7 @@ import math
 import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -130,35 +130,14 @@ def _build_chunk(experiment: str, seeds: list, params: dict, xp_config: tuple):
         return defn.build_batch(seeds, params)
 
 
-#: Seeds per round when ``batch_size`` is unset.  Large enough that a
-#: typical sweep runs as one stacked batch.
+#: Upper bound on topology seeds scheduled per round.  Large enough that a
+#: typical sweep runs as one stacked batch; affects scheduling only, never
+#: results.
 _DEFAULT_BATCH_CAP = 1024
 
-#: Names the retired ``backend=`` option accepts for one more release.
+#: Names the retired ``backend=`` option still accepts (with a warning).
 #: Each one runs the single batched path.
 DEPRECATED_BACKENDS = ("loop", "vectorized", "array_api")
-
-
-def warn_deprecated_backend(backend: str, stacklevel: int) -> None:
-    """Validate a retired ``backend=`` value and warn that it is ignored.
-
-    ``stacklevel`` counts from the caller of this function, so the
-    :class:`DeprecationWarning` can be attributed to user code.  Unknown
-    names still raise :class:`ValueError`.
-    """
-    if backend not in DEPRECATED_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {DEPRECATED_BACKENDS} (deprecated), "
-            f"got {backend!r}"
-        )
-    warnings.warn(
-        f"backend={backend!r} is deprecated and has no effect: every run "
-        "takes the one batched path; drop the argument (namespace/device/"
-        "dtype select the array namespace)",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
 
 _CACHE_FORMATS = ("json", "npz")
 
@@ -188,12 +167,8 @@ class Runner:
     cache_dir:
         Directory for on-disk result caching keyed by spec hash, or
         ``None`` (default) to disable caching.
-    batch_size:
-        Upper bound on topology seeds scheduled per round (default 1024).
-        Affects scheduling only, never results.
     backend:
-        Deprecated and ignored; kept for one release so old call sites
-        keep working.  Any of ``"loop"``, ``"vectorized"`` or
+        Deprecated and ignored.  Any of ``"loop"``, ``"vectorized"`` or
         ``"array_api"`` runs the one batched path and emits a
         :class:`DeprecationWarning`; other names raise ``ValueError``.
     namespace / device / dtype:
@@ -224,7 +199,6 @@ class Runner:
 
     jobs: int = 1
     cache_dir: str | Path | None = None
-    batch_size: int | None = None
     backend: str | None = field(default=None, repr=False, compare=False)
     namespace: str = "numpy"
     device: str = "cpu"
@@ -235,20 +209,23 @@ class Runner:
     telemetry: obsmod.Telemetry | None = field(
         default=None, repr=False, compare=False
     )
-    # A pool installed by run_many() so consecutive specs share workers
-    # instead of paying pool startup per spec; never part of identity.
-    _shared_pool: ProcessPoolExecutor | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("Runner.jobs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("Runner.batch_size must be >= 1")
         if self.backend is not None:
-            # __post_init__ <- generated __init__ <- the caller.
-            warn_deprecated_backend(self.backend, stacklevel=3)
+            if self.backend not in DEPRECATED_BACKENDS:
+                raise ValueError(
+                    f"backend must be one of {DEPRECATED_BACKENDS} (deprecated), "
+                    f"got {self.backend!r}"
+                )
+            warnings.warn(
+                f"backend={self.backend!r} is deprecated and has no effect: "
+                "every run takes the one batched path; drop the argument "
+                "(namespace/device/dtype select the array namespace)",
+                DeprecationWarning,
+                stacklevel=3,  # __post_init__ <- generated __init__ <- caller
+            )
         if self.cache_format not in _CACHE_FORMATS:
             raise ValueError(
                 f"Runner.cache_format must be one of {_CACHE_FORMATS}, "
@@ -274,48 +251,9 @@ class Runner:
         """
         return xpmod.get_namespace(self.namespace, self.device, self.dtype)
 
-    def _obs_scope(self):
-        """Context installing this runner's telemetry (no-op when unset)."""
-        if self.telemetry is None:
-            return contextlib.nullcontext()
-        return obsmod.use(self.telemetry)
-
-    def _attach_summary(self, result: RunResult) -> RunResult:
-        """Snapshot the telemetry onto ``result`` (in memory only).
-
-        ``RunResult.telemetry`` is never serialized, so cached entries stay
-        byte-identical whether a run was traced or not.
-        """
-        if self.telemetry is not None:
-            object.__setattr__(result, "telemetry", self.telemetry.summary())
-        return result
-
     def run(self, spec: RunSpec) -> RunResult:
         """Execute ``spec`` (or load it from cache) into a :class:`RunResult`."""
-        with self._obs_scope():
-            with obsmod.active().span("runner.run", experiment=spec.experiment):
-                result = self._execute(spec)
-        return self._attach_summary(result)
-
-    def _execute(self, spec: RunSpec) -> RunResult:
-        defn = get_experiment_def(spec.experiment)
-        params = resolve_params(defn, spec)
-
-        cache_path = self._cache_path(spec, params)
-        cached = self._load_cache(cache_path)
-        if cached is not None:
-            obsmod.active().count("runner.cache.hits")
-            return cached
-        if cache_path is not None:
-            obsmod.active().count("runner.cache.misses")
-
-        outcomes = self._sweep(defn, params)
-        base = defn.finalize(outcomes, params)
-        result = RunResult.from_experiment_result(base, spec)
-
-        if cache_path is not None:
-            result.save(cache_path)
-        return result
+        return self._execute(spec)
 
     def run_window(self, spec: RunSpec, seed_start: int, seed_count: int) -> RunResult:
         """Execute ``spec`` over a fixed window of the derived-seed stream.
@@ -338,86 +276,73 @@ class Runner:
             raise ValueError("seed_start must be >= 0")
         if seed_count < 1:
             raise ValueError("seed_count must be >= 1")
-        with self._obs_scope():
-            with obsmod.active().span(
-                "runner.run",
-                experiment=spec.experiment,
-                seed_start=int(seed_start),
-                seed_count=int(seed_count),
-            ):
-                result = self._execute_window(spec, seed_start, seed_count)
-        return self._attach_summary(result)
+        return self._execute(spec, window=(int(seed_start), int(seed_count)))
 
-    def _execute_window(
-        self, spec: RunSpec, seed_start: int, seed_count: int
-    ) -> RunResult:
-        defn = get_experiment_def(spec.experiment)
-        params = resolve_params(defn, spec)
-        params["n_topologies"] = seed_count
-        window = (int(seed_start), int(seed_count))
-
-        cache_path = self._cache_path(spec, params, window=window)
-        cached = self._load_cache(cache_path)
-        if cached is not None:
-            obsmod.active().count("runner.cache.hits")
-            return cached
-        if cache_path is not None:
-            obsmod.active().count("runner.cache.misses")
-
-        outcomes = self._sweep(defn, params, window=window)
-        base = defn.finalize(outcomes, params)
-        result = RunResult.from_experiment_result(base, spec)
-        notes = dict(result.notes)
-        notes["seed_window"] = [window[0], window[1]]
-        notes["n_accepted"] = len(outcomes)
-        result = RunResult(
-            name=result.name,
-            description=result.description,
-            series=result.series,
-            params=result.params,
-            notes=notes,
-            spec=result.spec,
-        )
-
-        if cache_path is not None:
-            result.save(cache_path)
-        return result
-
-    def run_many(self, specs) -> list[RunResult]:
-        """Execute several specs in order, sharing one worker pool.
-
-        With ``jobs > 1`` a single ``ProcessPoolExecutor`` serves every
-        spec in the list (instead of paying pool startup/teardown per
-        spec); scheduling only -- results stay bit-identical to running
-        each spec on its own.
-        """
-        specs = list(specs)
-        if self.jobs > 1 and len(specs) > 1 and self._shared_pool is None:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                self._shared_pool = pool
-                try:
-                    return [self.run(spec) for spec in specs]
-                finally:
-                    self._shared_pool = None
-        return [self.run(spec) for spec in specs]
-
-    # ------------------------------------------------------------------
     def window_cache_path(
         self, spec: RunSpec, seed_start: int, seed_count: int
     ) -> Path | None:
         """Cache file a :meth:`run_window` call would use (or ``None``)."""
+        return self._resolve(spec, (int(seed_start), int(seed_count)))[2]
+
+    # ------------------------------------------------------------------
+    def _execute(
+        self, spec: RunSpec, window: tuple[int, int] | None = None
+    ) -> RunResult:
+        """The one session path: resolve, serve from cache or sweep,
+        finalize, save.  A window run also notes its window and accepted
+        count."""
+        span_fields = (
+            {} if window is None else {"seed_start": window[0], "seed_count": window[1]}
+        )
+        scope = (
+            contextlib.nullcontext()
+            if self.telemetry is None
+            else obsmod.use(self.telemetry)
+        )
+        with scope:
+            telemetry = obsmod.active()
+            with telemetry.span("runner.run", experiment=spec.experiment, **span_fields):
+                defn, params, cache_path = self._resolve(spec, window)
+                result = self._load_cache(cache_path)
+                if result is not None:
+                    telemetry.count("runner.cache.hits")
+                else:
+                    if cache_path is not None:
+                        telemetry.count("runner.cache.misses")
+                    outcomes = self._sweep(defn, params, window)
+                    result = RunResult.from_experiment_result(
+                        defn.finalize(outcomes, params), spec
+                    )
+                    if window is not None:
+                        result = replace(
+                            result,
+                            notes={
+                                **result.notes,
+                                "seed_window": list(window),
+                                "n_accepted": len(outcomes),
+                            },
+                        )
+                    if cache_path is not None:
+                        result.save(cache_path)
+        if self.telemetry is not None:
+            # In memory only: RunResult.telemetry is never serialized, so
+            # cache entries are byte-identical whether a run was traced.
+            object.__setattr__(result, "telemetry", self.telemetry.summary())
+        return result
+
+    def _resolve(
+        self, spec: RunSpec, window: tuple[int, int] | None
+    ) -> tuple[ExperimentDef, dict, Path | None]:
+        """The experiment, its resolved parameters (a window run's
+        ``n_topologies`` is the window length) and the cache file."""
         defn = get_experiment_def(spec.experiment)
         params = resolve_params(defn, spec)
-        params["n_topologies"] = int(seed_count)
-        return self._cache_path(
-            spec, params, window=(int(seed_start), int(seed_count))
-        )
+        if window is not None:
+            params["n_topologies"] = window[1]
+        return defn, params, self._cache_path(spec, params, window)
 
     def _cache_path(
-        self,
-        spec: RunSpec,
-        params: dict,
-        window: tuple[int, int] | None = None,
+        self, spec: RunSpec, params: dict, window: tuple[int, int] | None = None
     ) -> Path | None:
         """Cache file keyed by the *resolved* parameters.
 
@@ -440,7 +365,7 @@ class Runner:
             "version": _PACKAGE_VERSION,
         }
         if window is not None:
-            body["seed_window"] = [int(window[0]), int(window[1])]
+            body["seed_window"] = list(window)
         namespace = self._resolve_namespace()
         if not namespace.is_exact:
             # Non-bit-exact configurations (torch, float32) get their own
@@ -449,8 +374,7 @@ class Runner:
             body["xp"] = namespace.config_dict()
         payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        suffix = "npz" if self.cache_format == "npz" else "json"
-        return Path(self.cache_dir) / f"{spec.experiment}-{digest}.{suffix}"
+        return Path(self.cache_dir) / f"{spec.experiment}-{digest}.{self.cache_format}"
 
     @staticmethod
     def _load_cache(cache_path: Path | None) -> RunResult | None:
@@ -465,15 +389,12 @@ class Runner:
                 f"cache entry {cache_path} is unreadable "
                 f"({type(exc).__name__}: {exc}); recomputing",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,  # _load_cache <- _execute <- run/run_window <- caller
             )
             return None
 
     def _sweep(
-        self,
-        defn: ExperimentDef,
-        params: dict,
-        window: tuple[int, int] | None = None,
+        self, defn: ExperimentDef, params: dict, window: tuple[int, int] | None
     ) -> list:
         """Accepted per-topology outcomes, in derived-seed-stream order.
 
@@ -482,21 +403,24 @@ class Runner:
         top-up, no attempt cap -- and returns whatever those indices
         accept (the campaign shard contract).  Without a window it keeps
         drawing until ``params["n_topologies"]`` topologies are accepted.
+        With ``jobs > 1`` the sweep owns one worker pool for its rounds.
         """
         n = int(params["n_topologies"])
         if n < 1:
             raise ValueError("need at least one topology")
         root_seed = int(params["seed"])
-        stream_start = 0 if window is None else int(window[0])
+        stream_start = 0 if window is None else window[0]
         max_attempts = n if window is not None else max(200, 80 * n)
-        batch_cap = self.batch_size or _DEFAULT_BATCH_CAP
         namespace = self._resolve_namespace()
 
         accepted: list = []
         attempts = 0
-        executor = self._shared_pool
-        owns_executor = False
-        try:
+        pool = (
+            ProcessPoolExecutor(max_workers=self.jobs)
+            if self.jobs > 1
+            else contextlib.nullcontext()
+        )
+        with pool:
             while attempts < max_attempts and (
                 window is not None or len(accepted) < n
             ):
@@ -507,7 +431,7 @@ class Runner:
                 else:
                     # Aim for exactly what is still needed (padded to keep
                     # every worker busy); the cap only bounds one round.
-                    target = max(n - len(accepted), min(self.jobs, batch_cap))
+                    target = max(n - len(accepted), min(self.jobs, _DEFAULT_BATCH_CAP))
                     if attempts:
                         # Rejection-heavy sweeps would otherwise shrink to
                         # deficit-sized (eventually single-seed) batches and
@@ -519,19 +443,16 @@ class Runner:
                         # the (rejected) build work.
                         rate = max(len(accepted) / attempts, 1.0 / 64.0)
                         target = max(target, math.ceil((n - len(accepted)) / rate))
-                count = min(target, batch_cap, max_attempts - attempts)
+                count = min(target, _DEFAULT_BATCH_CAP, max_attempts - attempts)
                 seeds = rng_mod.derived_seeds(
                     root_seed, stream_start + attempts, count
                 )
                 attempts += count
                 if self.jobs > 1:
-                    if executor is None:
-                        executor = ProcessPoolExecutor(max_workers=self.jobs)
-                        owns_executor = True
                     size = math.ceil(count / self.jobs)
                     chunks = [seeds[i : i + size] for i in range(0, count, size)]
                     outcomes = chain.from_iterable(
-                        executor.map(
+                        pool.map(
                             _build_chunk,
                             repeat(defn.name),
                             chunks,
@@ -548,9 +469,6 @@ class Runner:
                     accepted.append(outcome)
                     if window is None and len(accepted) == n:
                         break
-        finally:
-            if owns_executor and executor is not None:
-                executor.shutdown()
         if window is None and len(accepted) < n:
             raise RuntimeError(
                 f"only {len(accepted)}/{n} topologies satisfied the "

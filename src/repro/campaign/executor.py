@@ -37,7 +37,7 @@ from .. import __version__ as _PACKAGE_VERSION
 from .. import obs as obsmod
 from ..analysis.streaming import StreamingSummary
 from ..api.result import RunResult
-from ..api.runner import Runner, _CACHE_READ_ERRORS, warn_deprecated_backend
+from ..api.runner import Runner, _CACHE_READ_ERRORS
 from ..api.spec import RunSpec
 from .journal import JOURNAL_NAME, MANIFEST_NAME, CampaignJournal, read_manifest, write_manifest
 from .result import CampaignResult, CellAggregate
@@ -76,14 +76,12 @@ def _shard_worker(payload: dict) -> dict:
     seed_count = int(payload["seed_count"])
     timeout_s = payload.get("timeout_s")
     telemetry = obsmod.Telemetry() if payload.get("telemetry") else None
+    # Shards always cache as npz: binary series, smallest on disk.
     runner = Runner(
-        jobs=1,
-        cache_dir=payload["cache_dir"],
-        cache_format=payload["cache_format"],
-        telemetry=telemetry,
+        jobs=1, cache_dir=payload["cache_dir"], cache_format="npz", telemetry=telemetry
     )
 
-    timer_armed = False
+    outer = None  # (handler, delay, interval, armed_at) of the caller's alarm
     if timeout_s is not None and hasattr(signal, "SIGALRM"):
 
         def _on_alarm(signum, frame):
@@ -91,9 +89,9 @@ def _shard_worker(payload: dict) -> dict:
                 f"shard {payload['key']} exceeded its {timeout_s}s budget"
             )
 
-        signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-        timer_armed = True
+        handler = signal.signal(signal.SIGALRM, _on_alarm)
+        delay, interval = signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
+        outer = (handler, delay, interval, time.monotonic())
     started = time.perf_counter()
     scope = obsmod.use(telemetry) if telemetry is not None else contextlib.nullcontext()
     try:
@@ -115,9 +113,19 @@ def _shard_worker(payload: dict) -> dict:
             if result is None:
                 result = runner.run_window(spec, seed_start, seed_count)
     finally:
-        if timer_armed:
+        if outer is not None:
+            # Hand SIGALRM back as the caller had it (an inline campaign
+            # runs in the caller's process): its handler, and its timer
+            # re-armed for the time it had left -- due at once if that
+            # time ran out during the shard.
+            handler, delay, interval, armed_at = outer
             signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.signal(
+                signal.SIGALRM, signal.SIG_DFL if handler is None else handler
+            )
+            if delay > 0.0:
+                remaining = delay - (time.monotonic() - armed_at)
+                signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6), interval)
 
     resolution = float(payload["sketch_resolution"])
     states = {}
@@ -125,14 +133,11 @@ def _shard_worker(payload: dict) -> dict:
         summary = StreamingSummary(resolution=resolution)
         summary.add(values)
         states[name] = summary.state()
-    n_accepted = result.notes.get("n_accepted")
-    if n_accepted is None:  # pre-window cache entries never reach here
-        n_accepted = min((len(v) for v in result.series.values()), default=0)
     record = {
         "shard": payload["key"],
         "index": int(payload["index"]),
         "source": source,
-        "n_accepted": int(n_accepted),
+        "n_accepted": int(result.notes["n_accepted"]),
         "states": states,
         "elapsed_s": round(time.perf_counter() - started, 6),
     }
@@ -157,21 +162,16 @@ class CampaignRunner:
     jobs:
         Concurrent shard workers; ``1`` (default) executes shards
         in-process, in canonical order.
-    backend:
-        Deprecated and ignored, like :attr:`repro.api.Runner.backend`:
-        every shard runs the one batched path.  Old names warn; unknown
-        names raise ``ValueError``.
     cache_dir:
         Shard cache directory; defaults to ``<campaign_dir>/cache``.
         Point several campaigns at one directory to share shard results.
-    cache_format:
-        Shard cache encoding (``"npz"`` default: binary series).
     retries:
         Extra attempts per shard after its first failure/timeout.
     timeout_s:
         Optional per-shard wall-clock budget, enforced in the worker via
         ``SIGALRM`` (POSIX; ignored where unavailable).  A timed-out
-        attempt counts against ``retries``.
+        attempt counts against ``retries``.  Inline shards give the
+        caller's ``SIGALRM`` handler and pending timer back afterwards.
     progress:
         Emit progress/ETA lines to stderr as shards complete.
     telemetry:
@@ -186,9 +186,7 @@ class CampaignRunner:
 
     campaign_dir: str | Path
     jobs: int = 1
-    backend: str | None = field(default=None, repr=False, compare=False)
     cache_dir: str | Path | None = None
-    cache_format: str = "npz"
     retries: int = 2
     timeout_s: float | None = None
     progress: bool = True
@@ -199,9 +197,6 @@ class CampaignRunner:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("CampaignRunner.jobs must be >= 1")
-        if self.backend is not None:
-            # __post_init__ <- generated __init__ <- the caller.
-            warn_deprecated_backend(self.backend, stacklevel=3)
         if self.retries < 0:
             raise ValueError("CampaignRunner.retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -331,12 +326,13 @@ class CampaignRunner:
             )
 
         records = dict(completed)
-        self._build_payloads(campaign, plan)
-        if todo:
+        # Built once per run, so every retry resubmits the same payload.
+        work = [(shard, self._payload(shard, campaign)) for shard in todo]
+        if work:
             if self.jobs == 1:
-                self._run_inline(todo, records, journal)
+                self._run_inline(work, records, journal)
             else:
-                self._run_pool(todo, records, journal)
+                self._run_pool(work, records, journal)
 
         merge_started = time.perf_counter()
         result = self._fold(campaign, plan, records)
@@ -403,7 +399,8 @@ class CampaignRunner:
         write_manifest(self.campaign_dir / METRICS_NAME, metrics)
 
     # ------------------------------------------------------------------
-    def _payload(self, shard: ShardPlan) -> dict:
+    def _payload(self, shard: ShardPlan, campaign: CampaignSpec) -> dict:
+        """The picklable description :func:`_shard_worker` executes."""
         return {
             "key": shard.key,
             "index": shard.index,
@@ -411,10 +408,9 @@ class CampaignRunner:
             "seed_start": shard.seed_start,
             "seed_count": shard.seed_count,
             "cache_dir": str(self.cache_dir),
-            "cache_format": self.cache_format,
             "timeout_s": self.timeout_s,
             "telemetry": self.telemetry is not None,
-            "sketch_resolution": None,  # filled by caller
+            "sketch_resolution": campaign.sketch_resolution,
         }
 
     def _attempt_failed(self, shard: ShardPlan, exc: Exception, attempts, journal) -> None:
@@ -443,26 +439,26 @@ class CampaignRunner:
                 f"attempt(s): {exc}"
             ) from exc
 
-    def _run_inline(self, todo, records, journal) -> None:
+    def _run_inline(self, work, records, journal) -> None:
         attempts: dict[str, int] = defaultdict(int)
-        for shard in todo:
+        for shard, payload in work:
             while True:
                 try:
-                    record = _shard_worker(self._payloads[shard.key])
+                    record = _shard_worker(payload)
                     break
                 except Exception as exc:  # noqa: BLE001 -- retried, then raised
                     self._attempt_failed(shard, exc, attempts, journal)
             self._complete(shard, record, records, journal)
 
-    def _run_pool(self, todo, records, journal) -> None:
+    def _run_pool(self, work, records, journal) -> None:
         attempts: dict[str, int] = defaultdict(int)
         pool_restarts = 0
-        pending = list(todo)
+        pending = list(work)
         while pending:
             executor = ProcessPoolExecutor(max_workers=self.jobs)
             active = {
-                executor.submit(_shard_worker, self._payloads[s.key]): s
-                for s in pending
+                executor.submit(_shard_worker, payload): (shard, payload)
+                for shard, payload in pending
             }
             pending = []
             current = None
@@ -470,18 +466,15 @@ class CampaignRunner:
                 while active:
                     done, _ = wait(active, return_when=FIRST_COMPLETED)
                     for future in done:
-                        current = shard = active.pop(future)
+                        current = active.pop(future)
+                        shard, payload = current
                         try:
                             record = future.result()
                         except BrokenProcessPool:
                             raise
                         except Exception as exc:  # noqa: BLE001 -- retried, then raised
                             self._attempt_failed(shard, exc, attempts, journal)
-                            active[
-                                executor.submit(
-                                    _shard_worker, self._payloads[shard.key]
-                                )
-                            ] = shard
+                            active[executor.submit(_shard_worker, payload)] = current
                             continue
                         self._complete(shard, record, records, journal)
                 executor.shutdown()
@@ -504,7 +497,7 @@ class CampaignRunner:
                         f"worker pool broke {pool_restarts} time(s); giving up"
                     ) from exc
                 pending = list(active.values())
-                if current is not None and current.key not in records:
+                if current is not None and current[0].key not in records:
                     pending.append(current)
                 executor.shutdown(wait=False, cancel_futures=True)
 
@@ -594,19 +587,3 @@ class CampaignRunner:
                 )
             )
         return CampaignResult(campaign=campaign, cells=aggregates, notes={})
-
-    # Payloads are derived once per run so every retry reuses the same
-    # pickled description (and the sketch resolution rides along).
-    @property
-    def _payloads(self) -> dict[str, dict]:
-        return self._payload_cache
-
-    def _build_payloads(self, campaign: CampaignSpec, plan) -> None:
-        cache: dict[str, dict] = {}
-        for shard in plan:
-            if shard.key in cache:
-                continue
-            payload = self._payload(shard)
-            payload["sketch_resolution"] = campaign.sketch_resolution
-            cache[shard.key] = payload
-        self._payload_cache = cache

@@ -46,6 +46,16 @@ class DeficitRoundRobin:
         best = cand[np.argmax(self._counters[cand])]
         return int(best)
 
+    def pick_eligible(self, candidates, primary_mask, any_mask) -> int | None:
+        """:meth:`pick` among the ``candidates`` backlogged in the primary
+        class, else among those with any backlog (see
+        :meth:`repro.traffic.state.TrafficState.eligibility`).  Under full
+        buffer both masks are the membership mask."""
+        pick = self.pick([c for c in candidates if primary_mask[c]])
+        if pick is None:
+            pick = self.pick([c for c in candidates if any_mask[c]])
+        return pick
+
     def settle(self, served, backlogged_unserved, txop_units: float = 1.0) -> None:
         """Apply the paper's counter update after one MU-MIMO round.
 
@@ -107,6 +117,17 @@ class BatchDeficitRoundRobin:
         masked = np.where(candidate_mask, self._counters, -np.inf)
         picks = np.argmax(masked, axis=1)
         return np.where(candidate_mask.any(axis=1), picks, -1)
+
+    def pick_eligible(
+        self, candidate_mask: np.ndarray, primary_mask: np.ndarray, any_mask: np.ndarray
+    ) -> np.ndarray:
+        """Per-item :meth:`DeficitRoundRobin.pick_eligible`: primary-class
+        candidates first, any-backlog fill-in where an item has none
+        (``pick`` is pure, so the second pick changes nothing where the
+        first lands)."""
+        first = self.pick(candidate_mask & primary_mask)
+        fallback = self.pick(candidate_mask & any_mask)
+        return np.where(first >= 0, first, fallback)
 
     def settle(
         self,

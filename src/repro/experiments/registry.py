@@ -39,7 +39,7 @@ from . import (  # noqa: F401  (imports trigger experiment registration)
     roaming_handoff,
 )
 from ..api.experiments import experiment_names
-from ..api.runner import DEPRECATED_BACKENDS, Runner, warn_deprecated_backend
+from ..api.runner import Runner
 from ..api.spec import RunSpec
 
 
@@ -115,12 +115,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=1, help="concurrent shard workers"
     )
     parser.add_argument(
-        "--backend",
-        choices=DEPRECATED_BACKENDS,
-        default=None,
-        help="deprecated and ignored: every shard runs the batched path",
-    )
-    parser.add_argument(
         "--retries", type=int, default=2, help="extra attempts per failing shard"
     )
     parser.add_argument(
@@ -170,8 +164,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "<campaign-dir>/metrics.json regardless)",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        warn_deprecated_backend(args.backend, stacklevel=3)
 
     axes: dict[str, list] = {}
     for name, values in args.axis:
@@ -198,11 +190,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
         params=params,
         sketch_resolution=args.sketch_resolution,
     )
-    telemetry = None
-    if args.trace or args.metrics:
-        from .. import obs
-
-        telemetry = obs.Telemetry()
+    telemetry = _telemetry(args)
     runner = CampaignRunner(
         campaign_dir=args.campaign_dir,
         jobs=args.jobs,
@@ -216,15 +204,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
         print(campaign.describe())
     result = runner.run(campaign, resume=args.resume)
     print(result.summary())
-    if args.trace is not None:
-        path = _write_trace(telemetry, args.trace)
-        print(f"wrote {path}")
-    if args.metrics is not None:
-        path = telemetry.write_metrics(args.metrics)
-        print(f"wrote {path}")
-    if args.out is not None:
-        path = result.save(args.out)
-        print(f"wrote {path}")
+    _write_outputs(args, telemetry, result)
     return 0
 
 
@@ -246,12 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=DEPRECATED_BACKENDS,
-        default=None,
-        help="deprecated and ignored: every run takes the batched path",
     )
     parser.add_argument(
         "--namespace",
@@ -330,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         "FILE as JSON",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        warn_deprecated_backend(args.backend, stacklevel=2)
 
     spec = RunSpec(
         experiment=args.name,
@@ -345,11 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     # Telemetry is observation only -- results are byte-identical with it
     # on or off -- so turning it on for the cache summary line is safe.
-    telemetry = None
-    if args.trace or args.metrics or args.cache_dir:
-        from .. import obs
-
-        telemetry = obs.Telemetry()
+    telemetry = _telemetry(args, args.cache_dir is not None)
     runner = Runner(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -369,20 +337,29 @@ def main(argv: list[str] | None = None) -> int:
             f"cache: {hits} hit(s), {misses} miss(es), "
             f"{recomputes} recomputed"
         )
-    if args.trace is not None:
-        path = _write_trace(telemetry, args.trace)
-        print(f"wrote {path}")
-    if args.metrics is not None:
-        path = telemetry.write_metrics(args.metrics)
-        print(f"wrote {path}")
-    if args.out is not None:
-        path = result.save(args.out)
-        print(f"wrote {path}")
+    _write_outputs(args, telemetry, result)
     return 0
 
 
-def _write_trace(telemetry, destination: str):
-    """JSONL by default; ``*.trace.json`` selects Chrome ``trace_event``."""
-    if destination.endswith(".trace.json"):
-        return telemetry.write_chrome_trace(destination)
-    return telemetry.write_jsonl(destination)
+def _telemetry(args, needed: bool = False):
+    """A fresh :class:`repro.obs.Telemetry` when ``--trace``/``--metrics``
+    (or ``needed``) asks for one, else ``None``."""
+    if not (args.trace or args.metrics or needed):
+        return None
+    from .. import obs
+
+    return obs.Telemetry()
+
+
+def _write_outputs(args, telemetry, result) -> None:
+    """Write what ``--trace``, ``--metrics`` and ``--out`` ask for after a
+    run.  A ``*.trace.json`` trace is Chrome ``trace_event``, anything
+    else JSONL."""
+    if args.trace is not None:
+        chrome = args.trace.endswith(".trace.json")
+        write = telemetry.write_chrome_trace if chrome else telemetry.write_jsonl
+        print(f"wrote {write(args.trace)}")
+    if args.metrics is not None:
+        print(f"wrote {telemetry.write_metrics(args.metrics)}")
+    if args.out is not None:
+        print(f"wrote {result.save(args.out)}")

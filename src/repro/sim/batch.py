@@ -393,23 +393,15 @@ class RoundBasedEvaluatorBatch:
         clients restricted to AP ``ap``'s current members, each
         ``(batch, n_clients)`` -- the scalar ``_eligibility`` evaluated per
         item.  The membership mask twice under full buffer."""
-        member_mask = self.association.members_mask(ap)
         if self._traffic is None:
+            member_mask = self.association.members_mask(ap)
             return member_mask, member_mask
-        primary_mask = np.zeros((self.n_items, self._n_clients), dtype=bool)
-        any_mask = np.zeros((self.n_items, self._n_clients), dtype=bool)
-        for b, state in enumerate(self._traffic):
-            members = self.association.items[b].members(ap)
-            if members.size == 0:
-                continue
-            any_mask[b, members] = state.backlog_mask(members)
-            primary = state.primary_class(members)
-            primary_mask[b, members] = (
-                any_mask[b, members]
-                if primary is None
-                else state.backlog_mask(members, primary)
-            )
-        return primary_mask, any_mask
+        masks = [
+            state.eligibility(self.association.items[b].members(ap))
+            for b, state in enumerate(self._traffic)
+        ]
+        primary_masks, any_masks = zip(*masks)
+        return np.stack(primary_masks), np.stack(any_masks)
 
     def _select_clients(
         self,
@@ -428,10 +420,9 @@ class RoundBasedEvaluatorBatch:
         per-item pick order (which fixes the stream order of the precoded
         burst, as in the scalar evaluator).
 
-        Finite load gates every pick through the stacked backlog masks:
-        primary-class candidates first, then any-backlog fill-in -- the
-        per-item mirror of the scalar gated pick (``pick`` is pure, so the
-        extra masked call changes nothing when the first pick lands).
+        Finite load gates every pick through the stacked backlog masks
+        (:meth:`BatchDeficitRoundRobin.pick_eligible`, the per-item mirror
+        of the scalar pick).
         """
         n_own = use_mask.shape[1]
         drr = self._drr[ap]
@@ -444,9 +435,7 @@ class RoundBasedEvaluatorBatch:
         chosen_lists: list[list[int]] = [[] for _ in range(self.n_items)]
 
         def take(candidates: np.ndarray) -> None:
-            first = drr.pick(candidates & primary_mask)
-            fallback = drr.pick(candidates & any_mask)
-            picks = np.where(first >= 0, first, fallback)
+            picks = drr.pick_eligible(candidates, primary_mask, any_mask)
             taken = np.flatnonzero(picks >= 0)
             chosen_mask[taken, picks[taken]] = True
             for b in taken:

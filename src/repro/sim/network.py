@@ -92,10 +92,6 @@ class SimulationResult:
         """Time-averaged network spectral efficiency (the paper's metric)."""
         return float(self.per_client_bits_per_hz.sum() / self.duration_s)
 
-    def client_throughput_bps_hz(self) -> np.ndarray:
-        """Per-client time-averaged spectral efficiency."""
-        return self.per_client_bits_per_hz / self.duration_s
-
 
 @dataclass
 class _Contender:
@@ -273,34 +269,12 @@ class NetworkSimulation:
         win the medium nor be DRR-settled as served -- the service step
         applies the same cutoff at the TXOP start.
         """
-        member_mask = self.association.member_mask(ap)
         if self._traffic is None:
+            member_mask = self.association.member_mask(ap)
             return member_mask, member_mask
-        members = self.association.members(ap)
-        any_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        primary_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        if members.size == 0:
-            return primary_mask, any_mask
-        cutoff_s = now_us * 1e-6
-        any_mask[members] = self._traffic.backlog_mask(
-            members, arrival_cutoff_s=cutoff_s
+        return self._traffic.eligibility(
+            self.association.members(ap), arrival_cutoff_s=now_us * 1e-6
         )
-        primary = self._traffic.primary_class(members, arrival_cutoff_s=cutoff_s)
-        primary_mask[members] = (
-            any_mask[members]
-            if primary is None
-            else self._traffic.backlog_mask(members, primary, arrival_cutoff_s=cutoff_s)
-        )
-        return primary_mask, any_mask
-
-    def _gated_pick(self, ap: int, candidates: list[int], masks) -> int | None:
-        """DRR pick among primary-class backlogged candidates, falling back
-        to any-backlog fill-in (a no-op restriction under full buffer)."""
-        primary_mask, any_mask = masks
-        pick = self._drr[ap].pick([c for c in candidates if primary_mask[c]])
-        if pick is None:
-            pick = self._drr[ap].pick([c for c in candidates if any_mask[c]])
-        return pick
 
     def _select_clients_midas(
         self, ap: int, antennas_in_order: np.ndarray, masks
@@ -314,7 +288,7 @@ class NetworkSimulation:
                 for c in self.association.tagged_clients(ap, int(antenna))
                 if c not in chosen
             ]
-            pick = self._gated_pick(ap, candidates, masks)
+            pick = self._drr[ap].pick_eligible(candidates, *masks)
             if pick is not None:
                 chosen.append(pick)
         return chosen
@@ -413,10 +387,8 @@ class NetworkSimulation:
                 n_streams = min(len(antennas), len(members))
                 chosen: list[int] = []
                 for __ in range(n_streams):
-                    pick = self._gated_pick(
-                        ap,
-                        [int(c) for c in members if c not in chosen],
-                        masks,
+                    pick = self._drr[ap].pick_eligible(
+                        [int(c) for c in members if c not in chosen], *masks
                     )
                     if pick is None:
                         break

@@ -318,28 +318,13 @@ class RoundBasedEvaluator:
         restricted to ``ap``'s current members.
 
         Full-buffer runs return the membership mask twice, reducing
-        selection to the historical unrestricted DRR.  Under finite load
-        the first mask holds members backlogged in the AP's *primary* EDCA
-        class (the one winning internal contention); the second holds any
-        member backlog, used to fill leftover streams (802.11ac's
-        secondary-class rule).
+        selection to the historical unrestricted DRR; finite load applies
+        :meth:`TrafficState.eligibility`.
         """
-        member_mask = self.association.member_mask(ap)
         if self._traffic is None:
+            member_mask = self.association.member_mask(ap)
             return member_mask, member_mask
-        members = self.association.members(ap)
-        any_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        primary_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        if members.size == 0:
-            return primary_mask, any_mask
-        any_mask[members] = self._traffic.backlog_mask(members)
-        primary = self._traffic.primary_class(members)
-        primary_mask[members] = (
-            any_mask[members]
-            if primary is None
-            else self._traffic.backlog_mask(members, primary)
-        )
-        return primary_mask, any_mask
+        return self._traffic.eligibility(self.association.members(ap))
 
     def _select_clients(
         self, ap: int, antennas: np.ndarray, allowed: np.ndarray | None = None
@@ -357,16 +342,12 @@ class RoundBasedEvaluator:
             primary_mask = primary_mask & allowed
             any_mask = any_mask & allowed
 
-        def gated_pick(candidates: list[int]) -> int | None:
-            pick = drr.pick([c for c in candidates if primary_mask[c]])
-            if pick is None:
-                pick = drr.pick([c for c in candidates if any_mask[c]])
-            return pick
-
         if self.mode is MacMode.CAS:
             chosen: list[int] = []
             for __ in range(min(len(antennas), len(members))):
-                pick = gated_pick([int(c) for c in members if c not in chosen])
+                pick = drr.pick_eligible(
+                    [int(c) for c in members if c not in chosen], primary_mask, any_mask
+                )
                 if pick is None:
                     break
                 chosen.append(pick)
@@ -381,7 +362,7 @@ class RoundBasedEvaluator:
                 for c in self.association.tagged_clients(ap, local)
                 if c not in chosen
             ]
-            pick = gated_pick(candidates)
+            pick = drr.pick_eligible(candidates, primary_mask, any_mask)
             if pick is not None:
                 chosen.append(pick)
         return chosen

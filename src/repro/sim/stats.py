@@ -2,49 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .network import SimulationResult
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Summary statistics across a batch of simulation results."""
-
-    network_capacities_bps_hz: np.ndarray
-    mean_concurrent_streams: np.ndarray
-    collision_fractions: np.ndarray
-
-    @property
-    def median_capacity(self) -> float:
-        return float(np.median(self.network_capacities_bps_hz))
-
-    @property
-    def median_concurrency(self) -> float:
-        return float(np.median(self.mean_concurrent_streams))
-
-
-def summarize(results: list[SimulationResult]) -> RunSummary:
-    """Collect the headline series from a batch of runs.
-
-    Raises :class:`ValueError` on an empty result list -- summarizing
-    nothing would otherwise surface later as NaN medians plus a
-    ``RuntimeWarning`` deep inside numpy.
-    """
-    if not results:
-        raise ValueError(
-            "summarize() needs at least one SimulationResult; got an empty "
-            "list (did every run get filtered out?)"
-        )
-    return RunSummary(
-        network_capacities_bps_hz=np.asarray(
-            [r.network_capacity_bps_hz for r in results]
-        ),
-        mean_concurrent_streams=np.asarray([r.mean_concurrent_streams for r in results]),
-        collision_fractions=np.asarray([r.collision_fraction for r in results]),
-    )
 
 
 def jain_fairness(per_client_throughput: np.ndarray) -> float:

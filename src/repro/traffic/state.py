@@ -163,15 +163,33 @@ class TrafficState:
     # ------------------------------------------------------------------
     # Shared service + query surface
     # ------------------------------------------------------------------
-    def backlog_mask(self, clients, category=None, arrival_cutoff_s=None) -> np.ndarray:
-        """Per-client eligibility verdicts over ``clients``; the optional
-        cutoff restricts to packets that have arrived by it (the
-        event-driven MAC's decision time)."""
-        return self.queues.backlog_mask(clients, category, arrival_cutoff_s)
+    def eligibility(
+        self, members: np.ndarray, arrival_cutoff_s: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(primary-class, any-class) backlog masks over *all* clients,
+        restricted to an AP's ``members`` -- the one eligibility rule of
+        every engine.
 
-    def primary_class(self, clients, arrival_cutoff_s=None):
-        """The EDCA class that wins internal contention for these clients."""
-        return self.queues.primary_class(clients, arrival_cutoff_s)
+        The first mask holds members backlogged in the *primary* EDCA
+        class (the one winning the AP's internal contention); the second
+        holds any member backlog, used to fill leftover streams (802.11ac's
+        secondary-class rule).  ``arrival_cutoff_s`` restricts both to
+        packets that have arrived by it (the event-driven MAC's decision
+        time).
+        """
+        primary_mask = np.zeros(self.n_clients, dtype=bool)
+        any_mask = np.zeros(self.n_clients, dtype=bool)
+        if members.size == 0:
+            return primary_mask, any_mask
+        queues = self.queues
+        any_mask[members] = queues.backlog_mask(members, None, arrival_cutoff_s)
+        primary = queues.primary_class(members, arrival_cutoff_s)
+        primary_mask[members] = (
+            any_mask[members]
+            if primary is None
+            else queues.backlog_mask(members, primary, arrival_cutoff_s)
+        )
+        return primary_mask, any_mask
 
     def serve_burst(
         self,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunResult, Runner, RunSpec, UnknownNameError, resolve_params
+from repro.api import runner as runner_mod
 from repro.api.experiments import get_experiment_def
 from repro.experiments.registry import main
 
@@ -81,18 +82,24 @@ class TestRunnerExecution:
         for key in serial.series:
             np.testing.assert_array_equal(serial.series[key], parallel.series[key])
 
-    def test_batch_size_does_not_change_results(self):
-        spec = RunSpec("fig03", n_topologies=3, seed=5)
-        small = Runner(batch_size=1).run(spec)
-        large = Runner(batch_size=32).run(spec)
-        for key in small.series:
-            np.testing.assert_array_equal(small.series[key], large.series[key])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec("fig03", n_topologies=3, seed=5),
+            RunSpec("fig15", n_topologies=3, seed=5, params={"rounds_per_topology": 2}),
+        ],
+        ids=["fig03", "fig15"],
+    )
+    def test_batch_size_does_not_change_results(self, spec, monkeypatch):
+        default = Runner().run(spec)
+        monkeypatch.setattr(runner_mod, "_DEFAULT_BATCH_CAP", 1)
+        single = Runner().run(spec)
+        for key in default.series:
+            np.testing.assert_array_equal(default.series[key], single.series[key])
 
     def test_bad_runner_config_rejected(self):
         with pytest.raises(ValueError):
             Runner(jobs=0)
-        with pytest.raises(ValueError):
-            Runner(batch_size=0)
 
 
 class TestRunnerCache:
@@ -299,28 +306,17 @@ class TestRunWindow:
         cached = runner.run_window(spec, 0, 2)  # second call is a cache hit
         assert cached.notes["seed_window"] == [0, 2]
 
-
-class TestRunMany:
-    def test_shared_pool_results_bit_identical_to_serial(self, tmp_path):
-        specs = [
-            RunSpec("fig03", n_topologies=2, seed=5),
-            RunSpec("fig07", n_topologies=3, seed=5),
-            RunSpec("fig03", n_topologies=2, seed=6),
-        ]
-        serial = [Runner(jobs=1).run(s) for s in specs]
-        shared = Runner(jobs=2).run_many(specs)
-        assert len(shared) == len(serial)
-        for a, b in zip(serial, shared):
-            assert set(a.series) == set(b.series)
-            for key in a.series:
-                np.testing.assert_array_equal(a.series[key], b.series[key])
-
-    def test_shared_pool_cleared_after_run_many(self):
-        runner = Runner(jobs=2)
-        runner.run_many([RunSpec("fig03", n_topologies=2, seed=1)] * 2)
-        assert runner._shared_pool is None
-
-    def test_run_many_serial_path(self):
-        runner = Runner(jobs=1)
-        results = runner.run_many([RunSpec("fig03", n_topologies=2, seed=1)])
-        assert len(results) == 1
+    @pytest.mark.parametrize("batch_cap", [None, 3], ids=["one-round", "three-rounds"])
+    def test_parallel_window_matches_serial(self, batch_cap, monkeypatch):
+        # fig15 rejects most draws, so the chunks hand back sparse outcomes;
+        # a small cap also splits the window into several pool rounds.
+        if batch_cap is not None:
+            monkeypatch.setattr(runner_mod, "_DEFAULT_BATCH_CAP", batch_cap)
+        spec = RunSpec("fig15", seed=5, params={"rounds_per_topology": 2})
+        serial = Runner(jobs=1).run_window(spec, 3, 8)
+        parallel = Runner(jobs=2).run_window(spec, 3, 8)
+        assert serial.notes == parallel.notes
+        assert 0 < serial.notes["n_accepted"] < 8
+        assert set(serial.series) == set(parallel.series)
+        for key in serial.series:
+            np.testing.assert_array_equal(serial.series[key], parallel.series[key])

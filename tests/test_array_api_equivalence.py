@@ -116,13 +116,3 @@ def test_cli_accepts_the_xp_flags(capsys, tmp_path):
     assert code == 0
     assert out.exists()
     assert "fig03" in capsys.readouterr().out
-
-
-def test_cli_backend_flag_warns_and_matches_default(capsys, tmp_path):
-    from repro.experiments.registry import main
-
-    outs = [tmp_path / "flag.json", tmp_path / "plain.json"]
-    with pytest.warns(DeprecationWarning, match="backend"):
-        main(["fig03", "--topologies", "2", "--backend", "array_api", "--out", str(outs[0])])
-    main(["fig03", "--topologies", "2", "--out", str(outs[1])])
-    assert outs[0].read_text() == outs[1].read_text()

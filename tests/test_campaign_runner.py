@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -128,17 +129,24 @@ class TestCachingAndResume:
             CampaignRunner(tmp_path, retries=-1)
         with pytest.raises(ValueError, match="timeout"):
             CampaignRunner(tmp_path, timeout_s=0.0)
-        with pytest.raises(ValueError, match="backend"):
-            CampaignRunner(tmp_path, backend="gpu")
 
-    def test_deprecated_backend_warns_and_is_not_recorded(self, tmp_path):
-        campaign = CampaignSpec("fig07", n_topologies=4, shard_size=4)
-        with pytest.warns(DeprecationWarning, match="backend"):
-            runner = _quiet_runner(tmp_path, backend="loop")
-        result = runner.run(campaign)
-        plain = _quiet_runner(tmp_path, name="plain").run(campaign)
-        assert "backend" not in result.notes
-        assert result.aggregates_equal(plain)
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="POSIX SIGALRM only")
+    def test_inline_timeout_restores_the_callers_alarm(self, tmp_path):
+        def handler(signum, frame):  # pragma: no cover - never due in the test
+            raise AssertionError("the caller's alarm fired early")
+
+        previous = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 100.0)
+            campaign = CampaignSpec("fig03", n_topologies=2, shard_size=2)
+            _quiet_runner(tmp_path, jobs=1, timeout_s=60).run(campaign)
+            assert signal.getsignal(signal.SIGALRM) is handler
+            delay, interval = signal.getitimer(signal.ITIMER_REAL)
+            assert 90.0 < delay <= 100.0
+            assert interval == 0.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestResultRoundTrip:
@@ -240,15 +248,14 @@ class TestCli:
         assert result.campaign.params == {"antenna_counts": [2]}
         assert result.campaign.axes == {"precoder": ["naive", "balanced"]}
 
-    def test_campaign_backend_flag_warns(self, tmp_path, capsys):
-        argv = ["campaign", "fig07", "--topologies", "4", "--shard-size", "4", "--quiet"]
-        with pytest.warns(DeprecationWarning, match="backend"):
-            rc = main(argv + ["--campaign-dir", str(tmp_path / "a"), "--backend", "loop"])
-        assert rc == 0
-        main(argv + ["--campaign-dir", str(tmp_path / "b")])
-        flagged = CampaignResult.load(tmp_path / "a" / "result.json")
-        plain = CampaignResult.load(tmp_path / "b" / "result.json")
-        assert flagged.aggregates_equal(plain)
+    @pytest.mark.parametrize("subcommand", [[], ["campaign"]], ids=["run", "campaign"])
+    def test_backend_flag_is_gone(self, subcommand, tmp_path, capsys):
+        argv = subcommand + ["fig07", "--topologies", "2", "--backend", "loop"]
+        if subcommand:
+            argv += ["--campaign-dir", str(tmp_path / "c")]
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_classic_single_run_cli_still_works(self, tmp_path, capsys):
         rc = main(["fig03", "--topologies", "2", "--seed", "1"])

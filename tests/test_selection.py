@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.selection import (
+    BatchDeficitRoundRobin,
     DeficitRoundRobin,
     SelectionOutcome,
     select_clients_for_antennas,
@@ -29,6 +30,30 @@ class TestDrrPick:
     def test_rejects_zero_clients(self):
         with pytest.raises(ValueError):
             DeficitRoundRobin(0)
+
+    def test_pick_eligible_prefers_primary_then_falls_back(self):
+        drr = DeficitRoundRobin(4)
+        drr.settle([1], [0, 2, 3])  # 1 pays: 0, 2, 3 lead
+        primary = np.array([False, True, False, False])
+        any_backlog = np.array([True, True, False, True])
+        assert drr.pick_eligible([0, 1, 2, 3], primary, any_backlog) == 1
+        assert drr.pick_eligible([0, 2, 3], primary, any_backlog) == 0
+        assert drr.pick_eligible([2], primary, any_backlog) is None
+
+    def test_batch_pick_eligible_mirrors_scalar(self):
+        rng = np.random.default_rng(7)
+        n_items, n_clients = 16, 5
+        candidates = rng.random((n_items, n_clients)) < 0.7
+        primary = rng.random((n_items, n_clients)) < 0.3
+        any_backlog = primary | (rng.random((n_items, n_clients)) < 0.5)
+        picks = BatchDeficitRoundRobin(n_items, n_clients).pick_eligible(
+            candidates, primary, any_backlog
+        )
+        for b in range(n_items):
+            scalar = DeficitRoundRobin(n_clients).pick_eligible(
+                np.flatnonzero(candidates[b]), primary[b], any_backlog[b]
+            )
+            assert picks[b] == (-1 if scalar is None else scalar)
 
 
 class TestDrrSettle:

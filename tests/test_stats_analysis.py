@@ -95,11 +95,3 @@ class TestJainFairness:
     def test_no_runtime_warning_on_valid_input(self):
         with np.errstate(all="raise"):
             assert jain_fairness(np.array([1.0, 2.0])) == pytest.approx(0.9)
-
-
-class TestSummarize:
-    def test_empty_list_raises_clear_error(self):
-        from repro.sim.stats import summarize
-
-        with pytest.raises(ValueError, match="at least one SimulationResult"):
-            summarize([])

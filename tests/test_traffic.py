@@ -220,6 +220,32 @@ class TestTrafficState:
         assert served <= arrived
         assert metrics.queue_bytes == pytest.approx(arrived - served)
 
+    def test_eligibility_primary_class_then_any_backlog(self):
+        state = self._state(PoissonTraffic(rate_mbps=30.0), n_clients=4)
+        state.queues.enqueue(Packet(0, 100.0, 0.0, AccessCategory.BEST_EFFORT))
+        state.queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VOICE))
+        state.queues.enqueue(Packet(3, 100.0, 0.0, AccessCategory.VOICE))
+        # Client 3 is not a member: both masks span all clients but only
+        # members can be set.
+        primary, any_backlog = state.eligibility(np.array([0, 1, 2]))
+        assert np.array_equal(primary, [False, True, False, False])
+        assert np.array_equal(any_backlog, [True, True, False, False])
+        primary, any_backlog = state.eligibility(np.array([0]))
+        assert np.array_equal(primary, any_backlog)  # BE is the primary class
+        primary, any_backlog = state.eligibility(np.array([], dtype=int))
+        assert not primary.any() and not any_backlog.any()
+
+    def test_eligibility_arrival_cutoff(self):
+        state = self._state(PoissonTraffic(rate_mbps=30.0), n_clients=2)
+        state.queues.enqueue(Packet(0, 100.0, 0.5, AccessCategory.VOICE))
+        state.queues.enqueue(Packet(1, 100.0, 0.1, AccessCategory.BEST_EFFORT))
+        primary, any_backlog = state.eligibility(np.array([0, 1]), arrival_cutoff_s=0.2)
+        # The voice packet has not arrived by the cutoff: best effort leads.
+        assert np.array_equal(primary, [False, True])
+        assert np.array_equal(any_backlog, [False, True])
+        primary, _ = state.eligibility(np.array([0, 1]))
+        assert np.array_equal(primary, [True, False])
+
     def test_delays_are_positive_and_bounded_by_clock(self):
         state = self._state(PoissonTraffic(rate_mbps=30.0))
         for r in range(20):
