@@ -44,7 +44,7 @@ factories) remains importable directly for custom studies; see
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -99,7 +99,6 @@ from .phy import stream_sinrs, sum_capacity_bps_hz
 from .xp import (
     ArrayNamespace,
     BackendUnavailableError,
-    RngBridge,
     array_namespace,
     get_namespace,
     namespace_names,
@@ -180,7 +179,6 @@ __all__ = [
     "sum_capacity_bps_hz",
     "ArrayNamespace",
     "BackendUnavailableError",
-    "RngBridge",
     "array_namespace",
     "get_namespace",
     "namespace_names",

@@ -12,7 +12,10 @@ over stacked seed batches, under the :mod:`repro.xp` namespace selected by
 ``Runner(namespace=..., device=..., dtype=...)`` (NumPy/float64, the
 bit-exact default, unless told otherwise).  ``Runner(backend=...)`` is
 deprecated and ignored (it warns); ``run`` and ``run_window`` share one
-resolve -> cache -> sweep -> finalize -> save path.
+resolve -> cache -> sweep -> finalize -> save path.  The cache is one JSON
+file per entry for full runs and campaign shards alike, read and written
+only by the ``Runner``; ``RunResult.from_cache`` says whether a result was
+served from it.
 
 Pluggability comes from three decorator-driven registries --
 :func:`register_precoder`, :func:`register_scenario` (plus

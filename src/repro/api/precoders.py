@@ -109,8 +109,12 @@ def precoder_matrix_batch(
     Scalar fallbacks (iterative solvers without a batched form) always run
     on the host in float64; their results are transferred afterwards.
     """
-    xp = xpmod.active()
-    h = xp.asarray(h, dtype=xp.complex_dtype)
+    return _precode(name, xpmod.to_device(h, xpmod.active().complex_dtype), p, noise)
+
+
+def _precode(name: str, h, p: float, noise: float):
+    """:func:`precoder_matrix_batch` on a stack already on the active
+    namespace."""
     if h.ndim < 3:
         raise ValueError(
             f"precoder_matrix_batch expects a stacked channel; got {tuple(h.shape)}"
@@ -119,7 +123,7 @@ def precoder_matrix_batch(
         return BATCH_PRECODERS.get(name)(h, p, noise)
     fn = PRECODERS.get(name)  # raises UnknownNameError with the full list
     stacked = np.stack([fn(item, p, noise) for item in xpmod.to_numpy(h)])
-    return xp.asarray(stacked, dtype=xp.complex_dtype)
+    return xpmod.to_device(stacked, xpmod.active().complex_dtype)
 
 
 def capacity_for(scenario, h: np.ndarray, precoder: str) -> float:
@@ -139,9 +143,6 @@ def capacity_for_batch(scenario, h: np.ndarray, precoder: str) -> np.ndarray:
     backend-agnostic.
     """
     radio = scenario.radio
-    xp = xpmod.active()
-    h = xp.asarray(h, dtype=xp.complex_dtype)
-    v = precoder_matrix_batch(
-        precoder, h, radio.per_antenna_power_mw, radio.noise_mw
-    )
+    h = xpmod.to_device(h, xpmod.active().complex_dtype)
+    v = _precode(precoder, h, radio.per_antenna_power_mw, radio.noise_mw)
     return xpmod.to_numpy(sum_capacity_bps_hz(stream_sinrs(h, v, radio.noise_mw)))

@@ -93,6 +93,10 @@ class RunResult(ExperimentResult):
     #: observation: never serialized (JSON and npz round-trips drop it), never
     #: compared, and never part of cache identity.
     telemetry: Any | None = field(default=None, repr=False, compare=False)
+    #: Whether the ``Runner`` served this result from its disk cache (set by
+    #: ``Runner`` on every result it returns).  In memory only, like
+    #: ``telemetry``: never serialized, never compared.
+    from_cache: bool = field(default=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # JSON round-trip

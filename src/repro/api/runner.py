@@ -20,11 +20,14 @@ The runner owns everything the declarative spec deliberately leaves out:
 * **rejection sampling** -- experiments may reject topologies (placement
   constraints); the runner keeps drawing seed batches until the requested
   count is met (with the classic generous attempt cap);
-* **caching** -- with a ``cache_dir``, results are persisted keyed by a
-  hash of the fully resolved parameters plus the package version, and
+* **caching** -- with a ``cache_dir``, results are persisted as JSON keyed
+  by a hash of the fully resolved parameters plus the package version, and
   reloaded on a hit (the version *is* part of the key, because algorithm
   changes between releases must invalidate stale entries; inexact
-  namespace configurations add their own key material).
+  namespace configurations add their own key material).  This module is
+  the only code that looks up, reads, classifies and writes cache
+  entries; ``RunResult.from_cache`` tells the caller which way a result
+  came (campaign shards read it instead of probing the cache themselves).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import hashlib
 import json
 import math
 import warnings
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -139,8 +141,6 @@ _DEFAULT_BATCH_CAP = 1024
 #: Each one runs the single batched path.
 DEPRECATED_BACKENDS = ("loop", "vectorized", "array_api")
 
-_CACHE_FORMATS = ("json", "npz")
-
 #: Everything a cache entry can legitimately throw when the file on disk is
 #: truncated, torn, or otherwise unreadable.  ``Runner`` treats these as a
 #: cache miss (recompute and rewrite) rather than crashing forever on the
@@ -150,7 +150,6 @@ _CACHE_READ_ERRORS = (
     EOFError,
     KeyError,
     ValueError,  # includes json.JSONDecodeError and format-version errors
-    zipfile.BadZipFile,
 )
 
 
@@ -165,8 +164,8 @@ class Runner:
         each round of seeds is split into ``jobs`` contiguous chunks
         evaluated by ``build_batch`` in worker processes.
     cache_dir:
-        Directory for on-disk result caching keyed by spec hash, or
-        ``None`` (default) to disable caching.
+        Directory for on-disk result caching (one JSON file per entry,
+        keyed by spec hash), or ``None`` (default) to disable caching.
     backend:
         Deprecated and ignored.  Any of ``"loop"``, ``"vectorized"`` or
         ``"array_api"`` runs the one batched path and emits a
@@ -180,11 +179,6 @@ class Runner:
         like ``"cuda"``; ``dtype`` is ``"float64"`` or ``"float32"``.
         NumPy/float64 is bit-exact; other configurations meet the
         documented tolerance contracts and get their own cache entries.
-    cache_format:
-        On-disk cache encoding: ``"json"`` (default, human-readable) or
-        ``"npz"`` (binary series; what campaign shards use).  Both
-        round-trip losslessly; the format is not part of the cache key
-        beyond the file suffix.
     telemetry:
         An optional :class:`repro.obs.Telemetry` installed (via
         :func:`repro.obs.use`) around every :meth:`run` /
@@ -203,7 +197,6 @@ class Runner:
     namespace: str = "numpy"
     device: str = "cpu"
     dtype: str = "float64"
-    cache_format: str = "json"
     # Observation only: excluded from repr/compare and (deliberately) from
     # _cache_path -- a traced run and an untraced run share cache entries.
     telemetry: obsmod.Telemetry | None = field(
@@ -225,11 +218,6 @@ class Runner:
                 "(namespace/device/dtype select the array namespace)",
                 DeprecationWarning,
                 stacklevel=3,  # __post_init__ <- generated __init__ <- caller
-            )
-        if self.cache_format not in _CACHE_FORMATS:
-            raise ValueError(
-                f"Runner.cache_format must be one of {_CACHE_FORMATS}, "
-                f"got {self.cache_format!r}"
             )
         if self.telemetry is not None and not isinstance(
             self.telemetry, obsmod.Telemetry
@@ -278,32 +266,22 @@ class Runner:
             raise ValueError("seed_count must be >= 1")
         return self._execute(spec, window=(int(seed_start), int(seed_count)))
 
-    def window_cache_path(
-        self, spec: RunSpec, seed_start: int, seed_count: int
-    ) -> Path | None:
-        """Cache file a :meth:`run_window` call would use (or ``None``)."""
-        return self._resolve(spec, (int(seed_start), int(seed_count)))[2]
-
     # ------------------------------------------------------------------
     def _execute(
         self, spec: RunSpec, window: tuple[int, int] | None = None
     ) -> RunResult:
         """The one session path: resolve, serve from cache or sweep,
         finalize, save.  A window run also notes its window and accepted
-        count."""
+        count.  The result's in-memory ``from_cache`` says which way it
+        came."""
         span_fields = (
             {} if window is None else {"seed_start": window[0], "seed_count": window[1]}
         )
-        scope = (
-            contextlib.nullcontext()
-            if self.telemetry is None
-            else obsmod.use(self.telemetry)
-        )
-        with scope:
-            telemetry = obsmod.active()
+        with obsmod.use(self.telemetry) as telemetry:
             with telemetry.span("runner.run", experiment=spec.experiment, **span_fields):
                 defn, params, cache_path = self._resolve(spec, window)
                 result = self._load_cache(cache_path)
+                from_cache = result is not None
                 if result is not None:
                     telemetry.count("runner.cache.hits")
                 else:
@@ -324,9 +302,10 @@ class Runner:
                         )
                     if cache_path is not None:
                         result.save(cache_path)
+        # In memory only: neither attribute is ever serialized, so cache
+        # entries are byte-identical whether a run was traced or cached.
+        object.__setattr__(result, "from_cache", from_cache)
         if self.telemetry is not None:
-            # In memory only: RunResult.telemetry is never serialized, so
-            # cache entries are byte-identical whether a run was traced.
             object.__setattr__(result, "telemetry", self.telemetry.summary())
         return result
 
@@ -374,7 +353,7 @@ class Runner:
             body["xp"] = namespace.config_dict()
         payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return Path(self.cache_dir) / f"{spec.experiment}-{digest}.{self.cache_format}"
+        return Path(self.cache_dir) / f"{spec.experiment}-{digest}.json"
 
     @staticmethod
     def _load_cache(cache_path: Path | None) -> RunResult | None:

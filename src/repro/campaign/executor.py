@@ -4,9 +4,10 @@
 to a :class:`~repro.campaign.result.CampaignResult`:
 
 * every shard is executed through the ordinary
-  :meth:`repro.api.runner.Runner.run_window` primitive, so shard results
-  land in the same atomic, spec-hash + seed-range keyed disk cache a
-  direct ``Runner`` would use;
+  :meth:`repro.api.runner.Runner.run_window` primitive, which alone looks
+  the shard up in, and writes it to, the atomic, spec-hash + seed-range
+  keyed JSON disk cache -- the same entries a direct
+  ``Runner(cache_dir=...).run_window`` reads and writes;
 * shards fan out over a ``ProcessPoolExecutor`` (``jobs > 1``) with
   per-shard retry and an optional per-shard wall-clock timeout (enforced
   inside the worker via ``SIGALRM``, so a wedged shard fails cleanly and
@@ -22,7 +23,6 @@ to a :class:`~repro.campaign.result.CampaignResult`:
 
 from __future__ import annotations
 
-import contextlib
 import signal
 import sys
 import time
@@ -36,8 +36,7 @@ from pathlib import Path
 from .. import __version__ as _PACKAGE_VERSION
 from .. import obs as obsmod
 from ..analysis.streaming import StreamingSummary
-from ..api.result import RunResult
-from ..api.runner import Runner, _CACHE_READ_ERRORS
+from ..api.runner import Runner
 from ..api.spec import RunSpec
 from .journal import JOURNAL_NAME, MANIFEST_NAME, CampaignJournal, read_manifest, write_manifest
 from .result import CampaignResult, CellAggregate
@@ -58,28 +57,30 @@ class ShardTimeout(RuntimeError):
 def _shard_worker(payload: dict) -> dict:
     """Execute one shard; module-level so process pools can pickle it.
 
-    Serves the shard from the Runner's disk cache when a readable entry
-    exists (``source="cache"``), else computes and caches it
-    (``source="computed"``).  Returns only small, JSON-safe data: the
-    shard key, accepted count, and the per-series streaming-accumulator
-    states -- never the raw series -- so the master's memory stays bounded
-    by accumulator size regardless of campaign scale.
+    The shard is one :meth:`Runner.run_window` call: the Runner serves it
+    from its disk cache when a readable entry exists (``source="cache"``),
+    else computes and caches it (``source="computed"``).  Returns only
+    small, JSON-safe data: the shard key, accepted count, and the
+    per-series streaming-accumulator states -- never the raw series -- so
+    the master's memory stays bounded by accumulator size regardless of
+    campaign scale.
 
     With ``payload["telemetry"]`` set, the shard runs under a fresh
     per-shard :class:`repro.obs.Telemetry` whose whole lifetime is one
     ``campaign.shard`` span carrying the shard key; a compact summary
     (counters + span totals, JSON-safe) rides back on the record and is
-    folded into the journal's ``shard_done`` event by the master.
+    folded into the journal's ``shard_done`` event by the master.  The
+    ``"shard"`` probe site fires once per shard under that telemetry, with
+    the shard key, ``source`` and ``n_accepted``.
     """
     spec = RunSpec.from_dict(payload["spec"])
     seed_start = int(payload["seed_start"])
     seed_count = int(payload["seed_count"])
     timeout_s = payload.get("timeout_s")
     telemetry = obsmod.Telemetry() if payload.get("telemetry") else None
-    # Shards always cache as npz: binary series, smallest on disk.
-    runner = Runner(
-        jobs=1, cache_dir=payload["cache_dir"], cache_format="npz", telemetry=telemetry
-    )
+    # The Runner records into whatever telemetry is active: the per-shard
+    # one installed below, or none.
+    runner = Runner(jobs=1, cache_dir=payload["cache_dir"])
 
     outer = None  # (handler, delay, interval, armed_at) of the caller's alarm
     if timeout_s is not None and hasattr(signal, "SIGALRM"):
@@ -93,25 +94,19 @@ def _shard_worker(payload: dict) -> dict:
         delay, interval = signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
         outer = (handler, delay, interval, time.monotonic())
     started = time.perf_counter()
-    scope = obsmod.use(telemetry) if telemetry is not None else contextlib.nullcontext()
     try:
-        with scope, obsmod.active().span(
+        with obsmod.use(telemetry) as obs, obs.span(
             "campaign.shard",
             shard=payload["key"],
             seed_start=seed_start,
             seed_count=seed_count,
         ):
-            result = None
-            source = "computed"
-            cache_path = runner.window_cache_path(spec, seed_start, seed_count)
-            if cache_path is not None and cache_path.exists():
-                try:
-                    result = RunResult.load(cache_path)
-                    source = "cache"
-                except _CACHE_READ_ERRORS:
-                    result = None  # torn/corrupt entry: recompute below
-            if result is None:
-                result = runner.run_window(spec, seed_start, seed_count)
+            result = runner.run_window(spec, seed_start, seed_count)
+            source = "cache" if result.from_cache else "computed"
+            n_accepted = int(result.notes["n_accepted"])
+            obs.probe(
+                "shard", shard=payload["key"], source=source, n_accepted=n_accepted
+            )
     finally:
         if outer is not None:
             # Hand SIGALRM back as the caller had it (an inline campaign
@@ -137,7 +132,7 @@ def _shard_worker(payload: dict) -> dict:
         "shard": payload["key"],
         "index": int(payload["index"]),
         "source": source,
-        "n_accepted": int(result.notes["n_accepted"]),
+        "n_accepted": n_accepted,
         "states": states,
         "elapsed_s": round(time.perf_counter() - started, 6),
     }
@@ -215,18 +210,12 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def run(self, campaign: CampaignSpec, resume: bool = False) -> CampaignResult:
         """Execute (or resume) ``campaign``; returns the folded aggregates."""
-        scope = (
-            obsmod.use(self.telemetry)
-            if self.telemetry is not None
-            else contextlib.nullcontext()
-        )
-        with scope:
-            with obsmod.active().span(
-                "campaign.run",
-                campaign=campaign.campaign_hash()[:16],
-                jobs=self.jobs,
-            ):
-                return self._run(campaign, resume)
+        with obsmod.use(self.telemetry) as telemetry, telemetry.span(
+            "campaign.run",
+            campaign=campaign.campaign_hash()[:16],
+            jobs=self.jobs,
+        ):
+            return self._run(campaign, resume)
 
     def _run(self, campaign: CampaignSpec, resume: bool) -> CampaignResult:
         manifest_path = self.campaign_dir / MANIFEST_NAME
@@ -296,6 +285,7 @@ class CampaignRunner:
         # Drop journal entries for shards the plan no longer contains
         # (defensive; cannot happen while hashes match).
         plan_keys = {s.key for s in plan}
+        n_shards = len(plan_keys)
         completed = {k: v for k, v in completed.items() if k in plan_keys}
 
         # One execution per distinct key: cells sharing (spec, window) --
@@ -316,12 +306,12 @@ class CampaignRunner:
                 s.seed_count for s in plan if s.key in completed
             ),
             "session_units": 0,
-            "done_shards": len({s.key for s in plan if s.key in completed}),
-            "total_shards": len({s.key for s in plan}),
+            "done_shards": len(completed),
+            "total_shards": n_shards,
         }
         if self.progress and completed:
             self._emit(
-                f"resuming: {len(completed)}/{len({s.key for s in plan})} "
+                f"resuming: {len(completed)}/{n_shards} "
                 f"shards already complete"
             )
 
@@ -337,13 +327,12 @@ class CampaignRunner:
         merge_started = time.perf_counter()
         result = self._fold(campaign, plan, records)
         merge_elapsed_s = time.perf_counter() - merge_started
+        n_from_cache = sum(1 for r in records.values() if r.get("source") == "cache")
         notes = dict(result.notes)
         notes.update(
-            n_shards=len({s.key for s in plan}),
+            n_shards=n_shards,
             n_resumed=len(completed),
-            n_from_cache=sum(
-                1 for r in records.values() if r.get("source") == "cache"
-            ),
+            n_from_cache=n_from_cache,
             jobs=self.jobs,
             version=_PACKAGE_VERSION,
         )
@@ -355,15 +344,15 @@ class CampaignRunner:
                 {
                     "event": "campaign_done",
                     "campaign_hash": campaign.campaign_hash(),
-                    "n_shards": len({s.key for s in plan}),
+                    "n_shards": n_shards,
                 }
             )
         result.save(self.campaign_dir / _RESULT_NAME)
-        self._write_metrics(journal, plan, records, merge_elapsed_s)
+        self._write_metrics(journal, records, n_shards, n_from_cache, merge_elapsed_s)
         return result
 
     def _write_metrics(
-        self, journal, plan, records, merge_elapsed_s: float
+        self, journal, records, n_shards: int, n_from_cache: int, merge_elapsed_s: float
     ) -> None:
         """Write ``metrics.json`` next to the manifest (atomically).
 
@@ -382,11 +371,9 @@ class CampaignRunner:
         elapsed = [float(r.get("elapsed_s", 0.0)) for r in records.values()]
         total_s = sum(elapsed)
         metrics = {
-            "n_shards": len({s.key for s in plan}),
+            "n_shards": n_shards,
             "shards_run": len(records),
-            "shards_from_cache": sum(
-                1 for r in records.values() if r.get("source") == "cache"
-            ),
+            "shards_from_cache": n_from_cache,
             "shards_retried": retried,
             "shards_timed_out": timed_out,
             "shard_wall_clock_s": {

@@ -130,8 +130,8 @@ def batched_selection_capacities(subchannels, radio) -> list[float]:
     for shape, indices in groups.items():
         # Gather host-side, ship one stacked solve per shape group to the
         # active namespace (identity transfer on the default NumPy/float64).
-        stack = xp.asarray(
-            np.stack([subchannels[i] for i in indices]), dtype=xp.complex_dtype
+        stack = xpmod.to_device(
+            np.stack([subchannels[i] for i in indices]), xp.complex_dtype
         )
         result = batch_power_balanced(
             stack, radio.per_antenna_power_mw, radio.noise_mw

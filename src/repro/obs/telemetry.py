@@ -290,7 +290,7 @@ class Telemetry:
 
     def write_jsonl(self, path: str | Path) -> Path:
         """Write the JSONL trace atomically (temp sibling + rename)."""
-        return _atomic_text(Path(path), "\n".join(self.jsonl_lines()) + "\n")
+        return atomic_write_text(path, "\n".join(self.jsonl_lines()) + "\n")
 
     def chrome_trace(self) -> dict:
         """The buffer as a Chrome ``trace_event`` JSON object.
@@ -324,7 +324,7 @@ class Telemetry:
 
     def write_chrome_trace(self, path: str | Path) -> Path:
         """Write the Chrome ``trace_event`` export atomically."""
-        return _atomic_text(Path(path), json.dumps(self.chrome_trace()))
+        return atomic_write_text(path, json.dumps(self.chrome_trace()))
 
     def write_metrics(self, path: str | Path) -> Path:
         """Write the counters + span totals as one JSON document."""
@@ -333,7 +333,7 @@ class Telemetry:
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
             "span_totals": self.span_totals(),
         }
-        return _atomic_text(Path(path), json.dumps(payload, indent=2) + "\n")
+        return atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 class TelemetrySummary:
@@ -370,11 +370,6 @@ class TelemetrySummary:
         return f"<TelemetrySummary {self.n_events} events; {phases}>"
 
 
-def _atomic_text(path: Path, text: str) -> Path:
-    """Same-directory temp file + ``os.replace``: never a torn export."""
-    return atomic_write_text(path, text)
-
-
 # ----------------------------------------------------------------------
 # Active-telemetry context (mirrors repro.xp.use / repro.xp.active)
 # ----------------------------------------------------------------------
@@ -392,11 +387,18 @@ def active() -> Telemetry | NullTelemetry:
 
 
 @contextlib.contextmanager
-def use(telemetry: Telemetry) -> Iterator[Telemetry]:
-    """Install ``telemetry`` as the active instance for the enclosed block."""
+def use(telemetry: Telemetry | None) -> Iterator[Telemetry | NullTelemetry]:
+    """Install ``telemetry`` as the active instance for the enclosed block.
+
+    ``None`` is a no-op scope: the active telemetry stays what it was (and
+    is what the block yields), so optional telemetry installs one way.
+    """
+    if telemetry is None:
+        yield active()
+        return
     if not isinstance(telemetry, Telemetry):
         raise TypeError(
-            "use() expects a Telemetry instance; "
+            "use() expects a Telemetry instance or None; "
             f"got {type(telemetry).__name__}"
         )
     token = _ACTIVE.set(telemetry)

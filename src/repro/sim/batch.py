@@ -66,7 +66,9 @@ class CarrierSenseBatch:
 
     The reductions run on the :mod:`repro.xp` namespace that is *active at
     construction* (the cross-power map is derived on the host once, then
-    transferred); verdicts always come back as host NumPy arrays, because
+    transferred), and queries must run under that same namespace (each
+    transmitter mask is transferred with :func:`repro.xp.to_device`);
+    verdicts always come back as host NumPy arrays, because
     the planning logic that consumes them is per-item Python bookkeeping.
     On the default NumPy/float64 namespace every transfer is the identity,
     preserving bit-identity with the scalar model.
@@ -85,14 +87,9 @@ class CarrierSenseBatch:
         decodable = cross >= mac.nav_decode_dbm
         eye = np.eye(cross.shape[1], dtype=bool)
         decodable[:, eye] = True
-        _obs().count("xp.to_device.calls", 3)
-        _obs().count(
-            "xp.to_device.bytes",
-            cross_mw.nbytes + decodable.nbytes + eye.nbytes,
-        )
-        self._cross_mw = xp.asarray(cross_mw, dtype=xp.float_dtype)
-        self._decodable = xp.asarray(decodable, dtype=xp.bool_dtype)
-        self._not_self = xp.asarray(~eye, dtype=xp.bool_dtype)
+        self._cross_mw = xpmod.to_device(cross_mw, xp.float_dtype)
+        self._decodable = xpmod.to_device(decodable, xp.bool_dtype)
+        self._not_self = xpmod.to_device(~eye, xp.bool_dtype)
 
     @property
     def n_items(self) -> int:
@@ -121,9 +118,7 @@ class CarrierSenseBatch:
         """
         xp = self._xp
         tx_np = self._as_tx_mask(tx_mask)
-        _obs().count("xp.to_device.calls")
-        _obs().count("xp.to_device.bytes", tx_np.nbytes)
-        tx = xp.asarray(tx_np, dtype=xp.bool_dtype)
+        tx = xpmod.to_device(tx_np, xp.bool_dtype)
         not_self = self._not_self
         cross = self._cross_mw
         if listeners is not None:
@@ -150,9 +145,7 @@ class CarrierSenseBatch:
         """
         xp = self._xp
         tx_np = self._as_tx_mask(tx_mask)
-        _obs().count("xp.to_device.calls")
-        _obs().count("xp.to_device.bytes", tx_np.nbytes)
-        tx = xp.asarray(tx_np, dtype=xp.bool_dtype)
+        tx = xpmod.to_device(tx_np, xp.bool_dtype)
         not_self_l = self._not_self
         cross_l = self._cross_mw
         decodable = self._decodable
@@ -537,8 +530,8 @@ class RoundBasedEvaluatorBatch:
         accumulation order so every float matches bit for bit.
 
         Slot gathering and CSI-noise draws stay on the host (per-item
-        generator streams, the RNG-bridge contract); each grouped stack is
-        then transferred once to the active :mod:`repro.xp` namespace for
+        generator streams); each grouped stack is then transferred once
+        (:func:`repro.xp.to_device`) to the active namespace for
         the precoder solves and interference matmuls, and the per-slot
         SINR rows come back to NumPy for the traffic/assembly bookkeeping.
         """
@@ -577,9 +570,7 @@ class RoundBasedEvaluatorBatch:
                 groups.setdefault(h_est.shape, []).append(key)
             for keys in groups.values():
                 est_stack_np = np.stack([slot_estimates[k] for k in keys])
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", est_stack_np.nbytes)
-                stack = xp.asarray(est_stack_np, dtype=xp.complex_dtype)
+                stack = xpmod.to_device(est_stack_np, xp.complex_dtype)
                 if self.mode is MacMode.CAS:
                     v = batch_naive_precoder(stack, radio.per_antenna_power_mw)
                 else:
@@ -595,9 +586,7 @@ class RoundBasedEvaluatorBatch:
             intra: dict[tuple[int, int], np.ndarray] = {}
             for keys in groups.values():
                 true_stack_np = np.stack([slot_true[k] for k in keys])
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", true_stack_np.nbytes)
-                true_stack = xp.asarray(true_stack_np, dtype=xp.complex_dtype)
+                true_stack = xpmod.to_device(true_stack_np, xp.complex_dtype)
                 own = xp.abs(true_stack @ xp.stack([precoders[k] for k in keys])) ** 2
                 diag = xp.diagonal(own, axis1=-2, axis2=-1)
                 row_sums = xp.sum(own, axis=-1)
@@ -625,9 +614,7 @@ class RoundBasedEvaluatorBatch:
                         for b, s, other in keys
                     ]
                 )
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", h_cross_np.nbytes)
-                h_cross = xp.asarray(h_cross_np, dtype=xp.complex_dtype)
+                h_cross = xpmod.to_device(h_cross_np, xp.complex_dtype)
                 v_other = xp.stack([precoders[(b, other)] for b, s, other in keys])
                 summed = xp.sum(xp.abs(h_cross @ v_other) ** 2, axis=-1)
                 for index, key in enumerate(keys):

@@ -107,6 +107,33 @@ class TestShardTelemetry:
         metrics = json.loads((second.campaign_dir / "metrics.json").read_text())
         assert metrics["shards_from_cache"] == 2
 
+    def test_shard_probe_fires_once_per_shard_under_shard_telemetry(self, tmp_path):
+        telemetry = obs.Telemetry()
+        seen = []
+
+        @obs.register_probe("shard")
+        def sampler(shard_obs, **context):
+            seen.append((shard_obs, context))
+            shard_obs.count("probe.shard")
+
+        try:
+            runner = _runner(tmp_path, telemetry=telemetry)  # jobs=1: inline
+            runner.run(_campaign())
+        finally:
+            obs.unregister_probe(sampler)
+
+        journal = CampaignJournal(runner.campaign_dir / "journal.jsonl")
+        done = journal.completed_shards()
+        assert sorted(context["shard"] for _, context in seen) == sorted(done)
+        for shard_obs, context in seen:
+            assert isinstance(shard_obs, obs.Telemetry)
+            assert shard_obs is not telemetry  # the per-shard telemetry
+            event = done[context["shard"]]
+            assert context["source"] == event["source"] == "computed"
+            assert context["n_accepted"] == event["n_accepted"]
+            assert event["telemetry"]["counters"]["probe.shard"] == 1
+        assert telemetry.counters["probe.shard"] == len(done)
+
     def test_untraced_journal_has_no_telemetry_key(self, tmp_path):
         runner = _runner(tmp_path)
         runner.run(_campaign())

@@ -3,11 +3,13 @@
 import json
 import math
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import Runner, RunSpec
+from repro import obs
+from repro.api import RunResult, Runner, RunSpec
 from repro.campaign import (
     CampaignError,
     CampaignJournal,
@@ -90,6 +92,60 @@ class TestCachingAndResume:
         _quiet_runner(tmp_path, "small", cache_dir=cache).run(small)
         result = _quiet_runner(tmp_path, "big", cache_dir=cache).run(big)
         assert result.notes["n_from_cache"] == 1
+
+    def test_torn_shard_entries_read_once_and_recomputed(self, tmp_path, monkeypatch):
+        # Torn cache entries (cut mid-header) are read once, by the Runner,
+        # classified as unreadable (one warning each) and recomputed.
+        campaign = CampaignSpec("fig07", n_topologies=8, shard_size=4, seed=2)
+        cache = tmp_path / "shared-cache"
+        clean = _quiet_runner(tmp_path, "clean", cache_dir=cache).run(campaign)
+        entries = sorted(cache.iterdir())
+        assert len(entries) == clean.notes["n_shards"] == 2
+        for path in entries:
+            path.write_bytes(path.read_bytes()[:40])
+
+        loads = []
+        original = RunResult.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(Path(path).name)
+            return original(cls, path)
+
+        monkeypatch.setattr(RunResult, "load", classmethod(counting_load))
+        runner = _quiet_runner(tmp_path, "torn", cache_dir=cache)
+        with pytest.warns(RuntimeWarning, match="unreadable") as caught:
+            torn = runner.run(campaign)
+        unreadable = [w for w in caught if "unreadable" in str(w.message)]
+        assert sorted(loads) == [path.name for path in entries]
+        assert len(unreadable) == len(entries)
+        journal = CampaignJournal(runner.campaign_dir / "journal.jsonl")
+        assert {e["source"] for e in journal.completed_shards().values()} == {
+            "computed"
+        }
+        assert torn.notes["n_from_cache"] == 0
+        assert torn.aggregates_equal(clean)
+
+    def test_direct_runner_hits_campaign_shard_entries(self, tmp_path):
+        # A shard entry is the entry Runner.run_window itself reads and
+        # writes: replaying every shard through a plain Runner is all hits.
+        campaign = CampaignSpec(
+            "fig07", n_topologies=8, shard_size=4, seed=5,
+            axes={"environment": ["office_a", "office_b"]},
+        )
+        runner = _quiet_runner(tmp_path)
+        runner.run(campaign)
+        files = sorted(p.name for p in runner.cache_dir.iterdir())
+        telemetry = obs.Telemetry()
+        direct = Runner(cache_dir=runner.cache_dir, telemetry=telemetry)
+        plan = campaign.shards()
+        results = [
+            direct.run_window(shard.spec, shard.seed_start, shard.seed_count)
+            for shard in plan
+        ]
+        assert telemetry.counters["runner.cache.misses"] == 0
+        assert telemetry.counters["runner.cache.hits"] == len(plan)
+        assert all(result.from_cache for result in results)
+        assert sorted(p.name for p in runner.cache_dir.iterdir()) == files
 
     def test_resume_completed_campaign_recomputes_nothing(self, tmp_path):
         campaign = CampaignSpec("fig07", n_topologies=8, shard_size=4, seed=0)

@@ -79,6 +79,17 @@ class TestScoping:
                 raise RuntimeError("boom")
         assert obs.active() is NULL
 
+    def test_use_none_is_a_no_op_scope(self):
+        with obs.use(None) as installed:
+            assert installed is NULL and obs.active() is NULL
+        telemetry = Telemetry()
+        with obs.use(telemetry):
+            with obs.use(None) as installed:
+                assert installed is telemetry
+                assert obs.active() is telemetry
+            assert obs.active() is telemetry
+        assert obs.active() is NULL
+
     def test_use_rejects_non_telemetry(self):
         with pytest.raises(TypeError, match="Telemetry"):
             with obs.use(object()):  # pragma: no cover - never entered

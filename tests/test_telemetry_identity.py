@@ -188,3 +188,24 @@ def test_traced_roaming_handoff_jsonl_valid_and_phases_account(tmp_path):
         f"phases account for only {100.0 * phase_us / engine_us:.1f}% "
         f"of engine.run"
     )
+
+
+def test_traced_fig09_counts_a_transfer_per_capacity_call(monkeypatch):
+    # Every capacity_for_batch call ships its channel stack to the active
+    # namespace through repro.xp.to_device, so a traced run accounts at
+    # least one host-to-device transfer per call.
+    from repro.experiments import fig08_09_capacity
+
+    calls = []
+    original = fig08_09_capacity.capacity_for_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fig08_09_capacity, "capacity_for_batch", counting)
+    telemetry = obs.Telemetry()
+    Runner(telemetry=telemetry).run(RunSpec("fig09", n_topologies=3, seed=0))
+    assert calls
+    assert telemetry.counters["xp.to_device.calls"] >= len(calls)
+    assert telemetry.counters["xp.to_device.bytes"] > 0
